@@ -38,9 +38,8 @@ reconnectBackoffMs(const std::string &endpoint, int attempt, int base,
     const int exponent = std::min(std::max(0, attempt - 1), 6);
     const int raw =
         std::min(std::max(1, base) << exponent, std::max(1, cap));
-    Rng rng(fnv1aHash("dist.reconnect/" + endpoint) ^
-            static_cast<uint64_t>(attempt));
-    const double jitter = 0.5 + rng.uniform();
+    const double jitter = jitterFactor("dist.reconnect/" + endpoint,
+                                       static_cast<uint64_t>(attempt));
     return std::max(1, static_cast<int>(raw * jitter));
 }
 
@@ -49,8 +48,8 @@ int
 quarantineCooldownMs(const std::string &endpoint, uint64_t trip,
                      int base)
 {
-    Rng rng(fnv1aHash("dist.quarantine/" + endpoint) ^ trip);
-    const double jitter = 0.5 + rng.uniform();
+    const double jitter =
+        jitterFactor("dist.quarantine/" + endpoint, trip);
     return std::max(1, static_cast<int>(base * jitter));
 }
 

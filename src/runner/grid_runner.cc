@@ -20,7 +20,6 @@
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/socket.hh"
-#include "support/str.hh"
 #include "workloads/workloads.hh"
 
 namespace csched {
@@ -92,21 +91,15 @@ runJobAttempt(const JobSpec &spec, const JobPolicy &policy,
         if (machine == nullptr)
             return Status::invalidSpec(machine_error);
 
-        const WorkloadSpec *workload = tryFindWorkload(spec.workload);
-        if (workload == nullptr)
-            return Status::invalidSpec("unknown workload '" +
-                                       spec.workload + "'");
-
-        DependenceGraph graph = workload->build(machine->numClusters(),
-                                                machine->numClusters());
-        // Degraded machines: move preplaced homes off dead clusters.
-        remapPreplacedForMachine(graph, *machine);
+        auto graph = buildJobGraph(spec.workload, *machine);
+        if (!graph.ok())
+            return graph.status();
 
         auto algorithm = tryMakeAlgorithm(spec.algorithm, *machine);
         if (!algorithm.ok())
             return algorithm.status();
 
-        auto run = tryRunAndCheck(**algorithm, graph, *machine);
+        auto run = tryRunAndCheck(**algorithm, *graph, *machine);
         if (!run.ok())
             return run.status();
 
@@ -122,8 +115,9 @@ runJobAttempt(const JobSpec &spec, const JobPolicy &policy,
                     return it->second.status;
                 baseline = it->second.makespan;
             } else {
-                const auto computed =
-                    trySingleClusterMakespan(*workload, *machine);
+                // buildJobGraph above resolved the name.
+                const auto computed = trySingleClusterMakespan(
+                    *tryFindWorkload(spec.workload), *machine);
                 if (!computed.ok())
                     return computed.status();
                 baseline = *computed;
@@ -136,10 +130,12 @@ runJobAttempt(const JobSpec &spec, const JobPolicy &policy,
         out.algorithmName = run->algorithm;
         out.instructions = run->instructions;
         out.makespan = run->makespan;
-        out.criticalPathLength = graph.criticalPathLength();
+        out.criticalPathLength = graph->criticalPathLength();
         out.assignment = run->result.schedule.assignment();
         out.seconds = run->seconds;
         out.trace = std::move(run->result.trace);
+        out.schedule = std::make_shared<const Schedule>(
+            std::move(run->result.schedule));
         if (spec.computeSpeedup) {
             out.singleClusterMakespan = baseline;
             out.speedup = static_cast<double>(baseline) /
@@ -201,19 +197,6 @@ backoffSleep(int ms)
     }
 }
 
-/** Append the recorded backoff delays to a terminal diagnostic. */
-void
-appendBackoffNote(JobResult &result, const std::vector<int> &delays)
-{
-    if (delays.empty() || result.outcome == JobOutcome::Ok ||
-        result.outcome == JobOutcome::Interrupted)
-        return;
-    result.diagnostic += " [retry backoff ms:";
-    for (const int ms : delays)
-        result.diagnostic += " " + std::to_string(ms);
-    result.diagnostic += "]";
-}
-
 /**
  * One (workload, machine) baseline under the same isolation as a job.
  * Scope keys end in "/single-cluster" so fault rules can target or
@@ -273,6 +256,19 @@ computeBaseline(const std::string &workload,
 
 } // namespace
 
+StatusOr<DependenceGraph>
+buildJobGraph(const std::string &workload, const MachineModel &machine)
+{
+    const WorkloadSpec *spec = tryFindWorkload(workload);
+    if (spec == nullptr)
+        return Status::invalidSpec("unknown workload '" + workload + "'");
+    DependenceGraph graph =
+        spec->build(machine.numClusters(), machine.numClusters());
+    // Degraded machines: move preplaced homes off dead clusters.
+    remapPreplacedForMachine(graph, machine);
+    return graph;
+}
+
 int
 retryBackoffMs(const std::string &job_key, int attempt)
 {
@@ -287,9 +283,20 @@ retryBackoffMs(const std::string &job_key, int attempt)
     // never of wall-clock or thread identity, so the delays -- which
     // are recorded in terminal diagnostics -- are byte-identical at
     // any --jobs value.
-    Rng rng(fnv1aHash(job_key) ^ static_cast<uint64_t>(attempt));
-    const double jitter = 0.5 + rng.uniform();
+    const double jitter =
+        jitterFactor(job_key, static_cast<uint64_t>(attempt));
     return std::max(1, static_cast<int>(base * jitter));
+}
+
+std::string
+backoffNote(const std::vector<int> &delays)
+{
+    if (delays.empty())
+        return "";
+    std::string note = " [retry backoff ms:";
+    for (const int ms : delays)
+        note += " " + std::to_string(ms);
+    return note + "]";
 }
 
 JobResult
@@ -361,7 +368,9 @@ runJob(const JobSpec &spec, const JobPolicy &policy,
             backoffSleep(delay);
         }
     }
-    appendBackoffNote(result, backoffs);
+    if (result.outcome != JobOutcome::Ok &&
+        result.outcome != JobOutcome::Interrupted)
+        result.diagnostic += backoffNote(backoffs);
     return result;
 }
 
@@ -400,6 +409,8 @@ validateGrid(const GridSpec &grid, std::string *error)
         grid.algorithms.empty())
         return fail("empty grid: need at least one workload, machine, "
                     "and algorithm");
+    if (grid.resume && grid.journalPath.empty())
+        return fail("--resume requires --journal");
     if (!grid.hosts.empty() && grid.isolate)
         return fail("--hosts and --isolate are mutually exclusive "
                     "(remote hosts already isolate every job)");
@@ -418,10 +429,7 @@ validateGrid(const GridSpec &grid, std::string *error)
                 return fail(why);
             continue;
         }
-        bool known = false;
-        for (const auto &spec : allWorkloads())
-            known |= spec.name == name;
-        if (!known)
+        if (tryFindWorkload(name) == nullptr)
             return fail("unknown workload '" + name + "'");
     }
     for (const auto &machine : grid.machines) {

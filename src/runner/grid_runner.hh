@@ -2,9 +2,9 @@
  * @file
  * The batch experiment runner: expands a (workload x machine x
  * algorithm) grid into independent jobs and executes them on a
- * fixed-size thread pool.  This is the substrate behind csched_bench
- * and the per-figure bench binaries -- the paper's Section-5
- * evaluation grid as a parallel job pool.
+ * fixed-size thread pool.  This is the substrate behind csched_bench,
+ * csched_cli (a one-job grid) and the per-figure bench binaries -- the
+ * paper's Section-5 evaluation grid as a parallel job pool.
  *
  * Fault model: the grid always completes.  A job that fails is
  * isolated -- its result records the outcome and diagnostic while
@@ -127,8 +127,12 @@ struct GridReport
 std::vector<JobSpec> expandGrid(const GridSpec &grid);
 
 /**
- * Validate every workload, machine, and algorithm of @p grid.
- * Returns false and fills @p error on the first invalid entry.
+ * Validate every axis of @p grid -- workloads (registry names and
+ * stream specs), machine specs, algorithms (online policies with their
+ * options) -- and its execution knobs.  Returns false and fills
+ * @p error on the first invalid entry.  A stream paired with an
+ * offline algorithm (or the reverse) is valid here: that cell ends as
+ * an InvalidSpec job outcome.
  */
 bool validateGrid(const GridSpec &grid, std::string *error);
 

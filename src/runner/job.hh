@@ -20,6 +20,7 @@
 #define CSCHED_RUNNER_JOB_HH
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -156,9 +157,26 @@ struct JobResult
     /** Per-pass convergence + timing; empty for one-shot baselines. */
     std::vector<PassStep> trace;
 
+    /**
+     * The verified schedule of a successful offline job run in this
+     * process; null for online cells and for results that crossed a
+     * process boundary (--isolate, --hosts, journal replay).  Never
+     * serialized: it backs the drivers' schedule views only.
+     */
+    std::shared_ptr<const Schedule> schedule;
+
     bool ok() const { return outcome == JobOutcome::Ok; }
     bool retriedThenOk() const { return ok() && attempts > 1; }
 };
+
+/**
+ * The dependence graph a job schedules: @p workload built for
+ * @p machine's cluster count, with preplaced homes moved off dead
+ * clusters.  InvalidSpec for an unknown workload.  Drivers rebuild a
+ * job's graph through this to render views of its JobResult.
+ */
+StatusOr<DependenceGraph> buildJobGraph(const std::string &workload,
+                                        const MachineModel &machine);
 
 /**
  * Execute one job under @p policy: every recoverable failure --
@@ -181,6 +199,12 @@ JobResult runJob(const JobSpec &spec, const JobPolicy &policy = {},
  * the deterministic report layer and identical at any --jobs value.
  */
 int retryBackoffMs(const std::string &job_key, int attempt);
+
+/**
+ * The " [retry backoff ms: D D ...]" suffix that records the delays
+ * slept before retries in a terminal diagnostic; empty for none.
+ */
+std::string backoffNote(const std::vector<int> &delays);
 
 } // namespace csched
 

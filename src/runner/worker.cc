@@ -851,12 +851,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
 
         if (consumed >= max_attempts) {
             result.attempts = consumed;
-            if (!backoffs.empty()) {
-                result.diagnostic += " [retry backoff ms:";
-                for (const int ms : backoffs)
-                    result.diagnostic += " " + std::to_string(ms);
-                result.diagnostic += "]";
-            }
+            result.diagnostic += backoffNote(backoffs);
             return result;
         }
 

@@ -9,7 +9,6 @@
 #include "runner/shutdown.hh"
 #include "support/rng.hh"
 #include "support/socket.hh"
-#include "support/str.hh"
 #include "support/subprocess.hh"
 
 namespace csched {
@@ -451,8 +450,7 @@ Server::noteWorkerHealth(const JobResult &result)
     // The jitter is deterministic in the trip ordinal, same recipe as
     // the retry backoff, so degraded windows are reproducible.
     const uint64_t trip = degradeTrips_.fetch_add(1) + 1;
-    Rng rng(fnv1aHash("serve.degrade") ^ trip);
-    const double factor = 0.5 + rng.uniform();
+    const double factor = jitterFactor("serve.degrade", trip);
     const int64_t cooldown = static_cast<int64_t>(
         static_cast<double>(options_.degradeCooldownMs) * factor);
     degradedUntilMs_.store(steadyMs() + cooldown);

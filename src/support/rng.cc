@@ -1,6 +1,7 @@
 #include "support/rng.hh"
 
 #include "support/logging.hh"
+#include "support/str.hh"
 
 namespace csched {
 
@@ -71,6 +72,13 @@ bool
 Rng::chance(double p)
 {
     return uniform() < p;
+}
+
+double
+jitterFactor(const std::string &key, uint64_t n)
+{
+    Rng rng(fnv1aHash(key) ^ n);
+    return 0.5 + rng.uniform();
 }
 
 } // namespace csched

@@ -13,6 +13,7 @@
 #define CSCHED_SUPPORT_RNG_HH
 
 #include <cstdint>
+#include <string>
 
 namespace csched {
 
@@ -41,6 +42,15 @@ class Rng
   private:
     uint64_t state_[4];
 };
+
+/**
+ * Deterministic jitter factor in [0.5, 1.5) for draw @p n of the delay
+ * family @p key (retry backoff, reconnect, quarantine, degraded
+ * window): a pure function of (key, n), never of wall clock or thread
+ * identity, so every jittered delay is reproducible and may appear in
+ * deterministic diagnostics.
+ */
+double jitterFactor(const std::string &key, uint64_t n);
 
 } // namespace csched
 

@@ -78,4 +78,17 @@ fnv1aHash(const std::string &text)
     return hash;
 }
 
+std::optional<int>
+parseNonNegativeIntFlag(const std::string &text)
+{
+    try {
+        std::size_t used = 0;
+        const int value = std::stoi(text, &used);
+        if (used == text.size() && value >= 0)
+            return value;
+    } catch (...) {
+    }
+    return std::nullopt;
+}
+
 } // namespace csched

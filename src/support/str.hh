@@ -8,6 +8,7 @@
 #define CSCHED_SUPPORT_STR_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,13 @@ std::string formatDouble(double value, int decimals);
  * probability rules, retry-backoff jitter).
  */
 uint64_t fnv1aHash(const std::string &text);
+
+/**
+ * Strict parse of a non-negative int command-line value: the whole of
+ * @p text must be consumed ("2abc" and "-1" are rejected).  nullopt on
+ * anything else.  Every tool parses its integer flags through this.
+ */
+std::optional<int> parseNonNegativeIntFlag(const std::string &text);
 
 } // namespace csched
 

@@ -1,5 +1,6 @@
 #include "support/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -110,15 +111,30 @@ readFrame(int fd, int timeout_ms, uint32_t max_bytes)
     FrameResult result;
     std::string why;
     char header[4];
-    const size_t header_got =
-        readFull(fd, header, sizeof(header), deadline, &why);
-    if (header_got == 0 && why == "eof") {
-        result.kind = FrameResult::Kind::Eof;
+    // The caller's budget covers only the wait for the first byte.
+    size_t header_got = readFull(fd, header, 1, deadline, &why);
+    if (header_got == 0) {
+        result.kind = why == "eof"       ? FrameResult::Kind::Eof
+                      : why == "timeout" ? FrameResult::Kind::Timeout
+                                         : FrameResult::Kind::Malformed;
+        if (result.kind != FrameResult::Kind::Eof)
+            result.error = "truncated frame length (0 of 4 bytes, " +
+                           why + ")";
         return result;
     }
+    // A frame is in flight: the rest must follow within the completion
+    // budget, and a stall is Malformed, never Timeout -- a caller that
+    // treats Timeout as an idle tick would otherwise resume reading in
+    // the middle of this frame.
+    if (deadline.has_value())
+        deadline = std::max(*deadline,
+                            SteadyClock::now() +
+                                std::chrono::milliseconds(
+                                    kFrameCompletionBudgetMs));
+    header_got += readFull(fd, header + 1, sizeof(header) - 1, deadline,
+                           &why);
     if (header_got < sizeof(header)) {
-        result.kind = why == "timeout" ? FrameResult::Kind::Timeout
-                                       : FrameResult::Kind::Malformed;
+        result.kind = FrameResult::Kind::Malformed;
         result.error = "truncated frame length (" +
                        std::to_string(header_got) + " of 4 bytes, " +
                        why + ")";
@@ -142,8 +158,7 @@ readFrame(int fd, int timeout_ms, uint32_t max_bytes)
         readFull(fd, result.payload.data(), length, deadline, &why);
     if (body_got < length) {
         result.payload.clear();
-        result.kind = why == "timeout" ? FrameResult::Kind::Timeout
-                                       : FrameResult::Kind::Malformed;
+        result.kind = FrameResult::Kind::Malformed;
         result.error = "truncated frame payload (" +
                        std::to_string(body_got) + " of " +
                        std::to_string(length) + " bytes, " + why + ")";

@@ -32,14 +32,21 @@ namespace csched {
  */
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
+/**
+ * Once the first byte of a frame has been read, the rest of it must
+ * arrive within this budget (or within the caller's, if that ends
+ * later).  A peer that stalls past it gets Malformed.
+ */
+inline constexpr int kFrameCompletionBudgetMs = 2000;
+
 /** How one readFrame() call ended. */
 struct FrameResult
 {
     enum class Kind {
         Payload,    ///< a complete frame was read
         Eof,        ///< clean end-of-stream before any length byte
-        Timeout,    ///< the deadline passed before a full frame arrived
-        Malformed,  ///< truncated frame or I/O error
+        Timeout,    ///< the deadline passed before any byte arrived
+        Malformed,  ///< truncated or stalled frame, or I/O error
         /**
          * The length prefix exceeds the caller's frame cap.  Kept
          * distinct from Malformed because the two call for different
@@ -70,8 +77,12 @@ Status writeFrame(int fd, const std::string &payload);
 
 /**
  * Read one frame from @p fd.  @p timeout_ms < 0 blocks indefinitely;
- * otherwise the whole frame must arrive within the budget (polled, so
- * a peer that stops mid-frame cannot hang the caller).  Never throws;
+ * otherwise it bounds the wait for the frame's first byte, and Timeout
+ * means nothing was consumed -- so a caller may poll with a short
+ * timeout as an idle tick and never lose its place in the stream.
+ * Once a byte is consumed the frame is read to the end within
+ * kFrameCompletionBudgetMs (polled, so a peer that stops mid-frame
+ * cannot hang the caller) or comes back Malformed.  Never throws;
  * every failure mode comes back classified in the FrameResult.
  */
 FrameResult readFrame(int fd, int timeout_ms = -1,

@@ -18,7 +18,7 @@
 
 #include "eval/experiment.hh"
 #include "machine/machine_spec.hh"
-#include "runner/failure_summary.hh"
+#include "runner/driver.hh"
 #include "runner/grid_runner.hh"
 #include "runner/json_report.hh"
 #include "runner/thread_pool.hh"

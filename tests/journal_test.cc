@@ -21,7 +21,7 @@
 
 #include <unistd.h>
 
-#include "runner/failure_summary.hh"
+#include "runner/driver.hh"
 #include "runner/grid_runner.hh"
 #include "runner/journal.hh"
 #include "runner/json_report.hh"

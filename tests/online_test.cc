@@ -376,22 +376,38 @@ TEST(OnlineGrid, MismatchedAxesAreInvalidSpecOutcomes)
     EXPECT_EQ(mirrored.results[0].error, ErrorCode::InvalidSpec);
 }
 
-OnlineGridSpec
+/** An online sweep is an ordinary grid: streams x machines x policies. */
+GridSpec
+onlineGrid(std::vector<std::string> streams,
+           std::vector<std::string> machines,
+           const std::vector<std::string> &policies, int jobs)
+{
+    GridSpec grid;
+    grid.workloads = std::move(streams);
+    grid.machines = std::move(machines);
+    for (const std::string &policy : policies) {
+        const auto parsed = parseAlgorithmSpec(policy);
+        EXPECT_TRUE(parsed.has_value()) << policy;
+        if (parsed.has_value())
+            grid.algorithms.push_back(*parsed);
+    }
+    grid.jobs = jobs;
+    grid.computeSpeedup = false;
+    return grid;
+}
+
+GridSpec
 smallOnlineGrid(int jobs)
 {
-    OnlineGridSpec spec;
-    spec.streams = {
-        "stream:bursty:n=8:seed=5:gap=300:burst=3:workloads=fir+vvmul"};
-    spec.machines = {"vliw2", "vliw4"};
-    spec.policies = {"online-convergent", "online-uas"};
-    spec.jobs = jobs;
-    return spec;
+    return onlineGrid(
+        {"stream:bursty:n=8:seed=5:gap=300:burst=3:workloads=fir+vvmul"},
+        {"vliw2", "vliw4"}, {"online-convergent", "online-uas"}, jobs);
 }
 
 TEST(OnlineGrid, ByteIdenticalAcrossThreadCounts)
 {
-    const auto serial = runOnlineGrid(smallOnlineGrid(1));
-    const auto parallel = runOnlineGrid(smallOnlineGrid(4));
+    const auto serial = runGrid(smallOnlineGrid(1));
+    const auto parallel = runGrid(smallOnlineGrid(4));
     ASSERT_TRUE(serial.allOk());
     EXPECT_EQ(deterministicJson(serial), deterministicJson(parallel));
 
@@ -412,13 +428,13 @@ TEST(OnlineGrid, JournalResumeReplaysByteIdentically)
 
     auto journaled = smallOnlineGrid(2);
     journaled.journalPath = path;
-    const auto first = runOnlineGrid(journaled);
+    const auto first = runGrid(journaled);
     ASSERT_TRUE(first.allOk());
 
     auto resumed_spec = smallOnlineGrid(2);
     resumed_spec.journalPath = path;
     resumed_spec.resume = true;
-    const auto resumed = runOnlineGrid(resumed_spec);
+    const auto resumed = runGrid(resumed_spec);
     EXPECT_EQ(resumed.replayed,
               static_cast<int>(first.results.size()));
     EXPECT_EQ(deterministicJson(resumed), deterministicJson(first));
@@ -426,17 +442,32 @@ TEST(OnlineGrid, JournalResumeReplaysByteIdentically)
 
 TEST(OnlineGrid, RejectsMalformedAxes)
 {
+    // validateGrid checks stream specs and policy options like any
+    // other axis entry.
+    std::string error;
+    EXPECT_TRUE(validateGrid(smallOnlineGrid(1), &error)) << error;
+
     auto bad_stream = smallOnlineGrid(1);
-    bad_stream.streams = {"stream:poisson:n=0"};
-    EXPECT_FALSE(makeOnlineGrid(bad_stream).ok());
+    bad_stream.workloads = {"stream:poisson:n=0"};
+    EXPECT_FALSE(validateGrid(bad_stream, &error));
 
     auto bad_policy = smallOnlineGrid(1);
-    bad_policy.policies = {"online-nope"};
-    EXPECT_FALSE(makeOnlineGrid(bad_policy).ok());
+    bad_policy.algorithms = {AlgorithmSpec{"online-nope", "", std::nullopt}};
+    EXPECT_FALSE(validateGrid(bad_policy, &error));
 
+    auto bad_option = smallOnlineGrid(1);
+    bad_option.algorithms = {
+        AlgorithmSpec{"online-uas", "budget-ms=soon", std::nullopt}};
+    EXPECT_FALSE(validateGrid(bad_option, &error));
+
+    // An offline policy on a stream is a valid grid whose cells end
+    // as InvalidSpec outcomes (see MismatchedAxesAreInvalidSpecOutcomes).
     auto offline_policy = smallOnlineGrid(1);
-    offline_policy.policies = {"convergent"};
-    EXPECT_FALSE(makeOnlineGrid(offline_policy).ok());
+    offline_policy.algorithms = {*parseAlgorithmSpec("convergent")};
+    ASSERT_TRUE(validateGrid(offline_policy, &error)) << error;
+    const auto report = runGrid(offline_policy);
+    for (const JobResult &job : report.results)
+        EXPECT_EQ(job.error, ErrorCode::InvalidSpec);
 }
 
 // ---- Mid-run degradation -------------------------------------------
@@ -607,17 +638,15 @@ TEST(OnlineScheduler, DegradeEventHitsItsFaultPoint)
 TEST(OnlineGrid, DegradeSweepIsByteIdenticalAcrossThreadCounts)
 {
     auto degradeGrid = [](int jobs) {
-        OnlineGridSpec spec;
-        spec.streams = {"stream:poisson:n=8:seed=3:mean-gap=40:"
-                        "max-weight=4:workloads=fir+vvmul"};
-        spec.machines = {"raw4x4", "raw4x4/faults=tiles:2+9"};
-        spec.policies = {"online-uas:degrade-at=120:degrade-tiles=5",
-                         "online-convergent"};
-        spec.jobs = jobs;
-        return spec;
+        return onlineGrid({"stream:poisson:n=8:seed=3:mean-gap=40:"
+                           "max-weight=4:workloads=fir+vvmul"},
+                          {"raw4x4", "raw4x4/faults=tiles:2+9"},
+                          {"online-uas:degrade-at=120:degrade-tiles=5",
+                           "online-convergent"},
+                          jobs);
     };
-    const auto serial = runOnlineGrid(degradeGrid(1));
-    const auto parallel = runOnlineGrid(degradeGrid(4));
+    const auto serial = runGrid(degradeGrid(1));
+    const auto parallel = runGrid(degradeGrid(4));
     ASSERT_TRUE(serial.allOk());
     EXPECT_EQ(deterministicJson(serial), deterministicJson(parallel));
 }

@@ -58,6 +58,14 @@ TEST(GridRunner, ValidatesEveryAxis)
     std::string error;
     EXPECT_TRUE(validateGrid(smallGrid(), &error)) << error;
 
+    // The perf-suite DAGs resolve through the same registry lookup as
+    // the paper kernels.
+    for (const auto &spec : perfWorkloads()) {
+        auto perf_workload = smallGrid();
+        perf_workload.workloads = {spec.name};
+        EXPECT_TRUE(validateGrid(perf_workload, &error)) << error;
+    }
+
     auto bad_workload = smallGrid();
     bad_workload.workloads.push_back("nonesuch");
     EXPECT_FALSE(validateGrid(bad_workload, &error));
@@ -72,6 +80,11 @@ TEST(GridRunner, ValidatesEveryAxis)
     bad_algorithm.algorithms.push_back(
         AlgorithmSpec{"convergent", "BOGUS", std::nullopt});
     EXPECT_FALSE(validateGrid(bad_algorithm, &error));
+
+    auto resume_without_journal = smallGrid();
+    resume_without_journal.resume = true;
+    EXPECT_FALSE(validateGrid(resume_without_journal, &error));
+    EXPECT_NE(error.find("--journal"), std::string::npos);
 }
 
 TEST(GridRunner, JobResultsAreSelfDescribing)

@@ -630,6 +630,49 @@ TEST(ServeDaemon, OversizedFrameIsRefusedThenDropped)
     EXPECT_EQ(running.finish(), 0);
 }
 
+TEST(ServeDaemon, PauseAfterLengthPrefixStillGetsExactlyOneReply)
+{
+    // The reader polls with a 200 ms idle tick.  A client that sends a
+    // length prefix, pauses past the tick, then sends the payload must
+    // be read as one frame -- not desynchronised into a garbage frame
+    // or a dropped connection.
+    InterruptGuard guard;
+    RunningServer running(baseOptions(tempPath("sock")));
+    ASSERT_TRUE(running.startOk);
+
+    const int fd = connectTo(running.server.socketPath());
+    ASSERT_GE(fd, 0);
+
+    const std::string payload = encodeServeRequest(makeRequest(7, "vvmul"));
+    const uint32_t length = static_cast<uint32_t>(payload.size());
+    const unsigned char prefix[4] = {
+        static_cast<unsigned char>(length & 0xff),
+        static_cast<unsigned char>((length >> 8) & 0xff),
+        static_cast<unsigned char>((length >> 16) & 0xff),
+        static_cast<unsigned char>((length >> 24) & 0xff)};
+    ASSERT_EQ(::write(fd, prefix, sizeof prefix),
+              static_cast<ssize_t>(sizeof prefix));
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ASSERT_EQ(::write(fd, payload.data(), payload.size()),
+              static_cast<ssize_t>(payload.size()));
+
+    const auto reply = readReply(fd);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->id, 7u);
+    EXPECT_EQ(reply->status, "ok");
+    EXPECT_GT(reply->result.makespan, 0);
+    // Exactly one reply: nothing else follows on the connection.
+    EXPECT_EQ(readFrame(fd, 300, kServeMaxFrameBytes).kind,
+              FrameResult::Kind::Timeout);
+    ::close(fd);
+
+    const ServeStats stats = running.server.stats();
+    EXPECT_EQ(stats.malformedFrames, 0u);
+    EXPECT_EQ(stats.invalidRequests, 0u);
+    EXPECT_EQ(stats.requestsRead, 1u);
+    EXPECT_EQ(running.finish(), 0);
+}
+
 TEST(ServeDaemon, TruncatedFrameDropsOnlyThatConnection)
 {
     InterruptGuard guard;

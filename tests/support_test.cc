@@ -200,6 +200,16 @@ TEST(Str, FormatDouble)
     EXPECT_EQ(formatDouble(2.0, 0), "2");
 }
 
+TEST(Str, ParseNonNegativeIntFlagIsStrict)
+{
+    EXPECT_EQ(parseNonNegativeIntFlag("0"), 0);
+    EXPECT_EQ(parseNonNegativeIntFlag("42"), 42);
+    EXPECT_FALSE(parseNonNegativeIntFlag("2abc").has_value());
+    EXPECT_FALSE(parseNonNegativeIntFlag("-1").has_value());
+    EXPECT_FALSE(parseNonNegativeIntFlag("").has_value());
+    EXPECT_FALSE(parseNonNegativeIntFlag("99999999999").has_value());
+}
+
 TEST(Table, AlignsColumnsAndCountsRows)
 {
     TablePrinter table({"name", "value"});

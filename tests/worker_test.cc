@@ -15,7 +15,7 @@
 
 #include <unistd.h>
 
-#include "runner/failure_summary.hh"
+#include "runner/driver.hh"
 #include "runner/grid_runner.hh"
 #include "runner/journal.hh"
 #include "runner/json_report.hh"
@@ -163,16 +163,19 @@ TEST(FrameProtocol, OversizedLengthFailsFastWithoutAllocating)
     EXPECT_NE(result.error.find("frame length"), std::string::npos);
 }
 
-TEST(FrameProtocol, PeerStallingMidFrameIsATimeoutNotAHang)
+TEST(FrameProtocol, PeerStallingMidFrameIsMalformedNotAHang)
 {
-    // The write end stays open: without the deadline this would block
-    // forever, which is exactly the hang the watchdog must never
-    // inherit from the protocol layer.
+    // The write end stays open: without the completion budget this
+    // would block forever, which is exactly the hang the watchdog must
+    // never inherit from the protocol layer.  Bytes were consumed, so
+    // the stall is Malformed, never a Timeout a caller could take for
+    // an idle tick.
     Pipe pipe;
     writeRaw(pipe.writeFd(), std::string("\x08\x00\x00\x00", 4) + "ab");
     const auto result = readFrame(pipe.readFd(), 50);
-    EXPECT_EQ(result.kind, FrameResult::Kind::Timeout);
-    EXPECT_FALSE(result.error.empty());
+    EXPECT_EQ(result.kind, FrameResult::Kind::Malformed);
+    EXPECT_NE(result.error.find("2 of 8 bytes"), std::string::npos)
+        << result.error;
 }
 
 TEST(WorkerProtocol, GarbageRepliesBecomeWorkerCrashed)

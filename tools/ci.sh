@@ -172,9 +172,9 @@ containment_smoke() {
 
 # Online replay smoke: stream scheduling must be deterministic and
 # replayable.  Run an online grid serially and with a thread pool and
-# demand byte-identical reports; then emit the arrival trace from a
-# generated stream, replay it through stream:trace:file=, and demand
-# the replay reproduces the same weighted-completion numbers.  Run on
+# demand byte-identical reports; then emit the arrival trace of one
+# generated-stream cell, replay it as a stream:trace:file= cell, and
+# demand the replay reproduces the same weighted-completion numbers.  Run on
 # the TSan build so the online commit loop inside worker threads is
 # also race-checked.
 online_replay_smoke() {
@@ -199,11 +199,11 @@ online_replay_smoke() {
         exit 1
     }
 
-    "${cli}" --online --streams "${stream}" --machines vliw4 \
-        --policies online-convergent --emit-trace "${tmp}/trace.jsonl" \
+    "${cli}" --workload "${stream}" --machine vliw4 \
+        --algorithm online-convergent --emit-trace "${tmp}/trace.jsonl" \
         --json "${tmp}/live.json" >/dev/null
-    "${cli}" --online --streams "stream:trace:file=${tmp}/trace.jsonl" \
-        --machines vliw4 --policies online-convergent \
+    "${cli}" --workload "stream:trace:file=${tmp}/trace.jsonl" \
+        --machine vliw4 --algorithm online-convergent \
         --json "${tmp}/replay.json" >/dev/null
     local live replay
     live="$(grep -o '"weightedCompletion": [0-9]*' "${tmp}/live.json")"

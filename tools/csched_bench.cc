@@ -52,6 +52,11 @@
  *                           still marks every failed cell)
  *     --quiet               suppress the human-readable table
  *
+ * The execution flags (--jobs through --keep-going, and --json) are
+ * parsed by the parser csched_cli shares (runner/driver.hh).  Stream
+ * specs on --workloads with online policies on --algorithms make an
+ * online sweep (online/online_grid.hh).
+ *
  * A failing job never aborts the grid: its cell is marked in the table
  * and the JSON, healthy cells are salvaged, a summary goes to stderr,
  * and the exit status is 1 unless --keep-going.  SIGINT/SIGTERM drain
@@ -123,7 +128,6 @@
 #include <vector>
 
 #include "convergent/pass_registry.hh"
-#include "dist/remote_pool.hh"
 #include "dist/workerd.hh"
 #include "eval/experiment.hh"
 #include "eval/online_metrics.hh"
@@ -132,12 +136,11 @@
 #include "online/online_scheduler.hh"
 #include "online/policy.hh"
 #include "runner/bench_report.hh"
-#include "runner/failure_summary.hh"
+#include "runner/driver.hh"
 #include "runner/grid_runner.hh"
 #include "runner/json_report.hh"
 #include "runner/shutdown.hh"
 #include "support/atomic_file.hh"
-#include "support/fault_injection.hh"
 #include "support/stats.hh"
 #include "support/str.hh"
 #include "support/table.hh"
@@ -201,32 +204,22 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
     std::string suite = "all";
     std::string workloads_arg;
     std::string algorithms_arg = "convergent";
-    std::string json_file;
+    DriverFlags flags;
     ReportOptions report_options;
     bool quiet = false;
-    bool keep_going = false;
-    FaultPlan fault_plan;
-    DistOptions dist_options;
 
     for (size_t k = 0; k < args.size(); ++k) {
+        std::string why;
+        if (parseDriverFlag(args, &k, &grid, &flags, &why)) {
+            if (!why.empty())
+                usage(argv0, why);
+            continue;
+        }
         const std::string arg = args[k];
         auto next = [&]() -> std::string {
             if (k + 1 >= args.size())
                 usage(argv0, arg + " needs a value");
             return args[++k];
-        };
-        auto nextInt = [&](const char *floor_why) -> int {
-            const std::string text = next();
-            int parsed = 0;
-            try {
-                parsed = std::stoi(text);
-            } catch (...) {
-                usage(argv0,
-                      arg + " expects an integer, got '" + text + "'");
-            }
-            if (parsed < 0)
-                usage(argv0, arg + floor_why);
-            return parsed;
         };
         if (arg == "--workloads") {
             workloads_arg = next();
@@ -238,42 +231,6 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
             grid.machines = splitMachineList(next());
         } else if (arg == "--algorithms" || arg == "--algorithm") {
             algorithms_arg = next();
-        } else if (arg == "--jobs") {
-            grid.jobs = nextInt(" must be >= 0");
-        } else if (arg == "--deadline-ms") {
-            grid.deadlineMs = nextInt(" must be >= 0 (0 = no deadline)");
-        } else if (arg == "--retries") {
-            grid.retries = nextInt(" must be >= 0");
-        } else if (arg == "--isolate") {
-            grid.isolate = true;
-        } else if (arg == "--mem-limit-mb") {
-            grid.memLimitMb =
-                nextInt(" must be >= 0 (0 = unlimited)");
-        } else if (arg == "--journal") {
-            grid.journalPath = next();
-        } else if (arg == "--resume") {
-            grid.resume = true;
-        } else if (arg == "--hosts") {
-            grid.hosts = split(next(), ',');
-        } else if (arg == "--dist-opts") {
-            // Hidden: dist-client timing overrides for tests and CI
-            // (see DistOptions::applyOverrides).
-            const Status applied =
-                DistOptions::applyOverrides(&dist_options, next());
-            if (!applied.ok())
-                usage(argv0, "--dist-opts: " + applied.message());
-        } else if (arg == "--keep-going") {
-            keep_going = true;
-        } else if (arg == "--inject") {
-            // Hidden: deterministic fault injection for the
-            // robustness tests (see fault_injection.hh).
-            std::string why;
-            const auto parsed_plan = FaultPlan::parse(next(), &why);
-            if (!parsed_plan.has_value())
-                usage(argv0, "--inject: " + why);
-            fault_plan = *parsed_plan;
-        } else if (arg == "--json") {
-            json_file = next();
         } else if (arg == "--no-timings") {
             report_options.timings = false;
         } else if (arg == "--no-assignments") {
@@ -319,13 +276,6 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
         spec = *parsed;
     }
 
-    if (!fault_plan.empty())
-        grid.faults = &fault_plan;
-    if (!grid.hosts.empty())
-        grid.dist = &dist_options;
-    if (grid.resume && grid.journalPath.empty())
-        usage(argv0, "--resume requires --journal");
-
     std::string error;
     if (!validateGrid(grid, &error))
         usage(argv0, error);
@@ -358,28 +308,7 @@ runSuite(const char *argv0, const std::vector<std::string> &args)
                   << formatDouble(report.wallSeconds, 2) << " s\n";
     }
 
-    if (!json_file.empty()) {
-        if (json_file == "-") {
-            writeGridReport(std::cout, report, report_options);
-        } else {
-            // Driver-level fault scope so --inject can target the
-            // report write itself (the jobs ran in their own scopes).
-            FaultScope report_faults(grid.faults, "report");
-            ScopedFaultScope report_fault_guard(&report_faults);
-            const Status written = writeFileAtomic(
-                json_file, gridReportToJson(report, report_options));
-            if (!written.ok()) {
-                std::cerr << argv0 << ": " << written.toString()
-                          << "\n";
-                return 1;
-            }
-            if (!quiet)
-                std::cout << "wrote " << json_file << "\n";
-        }
-    }
-
-    printFailureSummary(std::cerr, report);
-    return gridExitCode(report, keep_going);
+    return finishGridRun(argv0, report, flags, report_options, !quiet);
 }
 
 // ---- perf ----------------------------------------------------------
@@ -559,9 +488,10 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         } else if (arg == "--baseline-dir") {
             baseline_dir = next();
         } else if (arg == "--repeats") {
-            repeats = std::stoi(next());
-            if (repeats < 1)
+            const auto parsed = parseNonNegativeIntFlag(next());
+            if (!parsed.has_value() || *parsed < 1)
                 usage(argv0, "--repeats must be >= 1");
+            repeats = *parsed;
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--check") {

@@ -1,91 +1,71 @@
 /**
  * @file
- * Command-line driver: schedule any built-in workload on any machine
- * with any algorithm and inspect the result.
+ * Command-line driver: schedule one (workload, machine, algorithm) cell
+ * and inspect the result.  The cell runs as a one-job grid through
+ * runGrid -- the same path as csched_bench suite, so every execution
+ * mode (in-process, --isolate, --hosts, --journal) runs it exactly
+ * once -- and the views below render its JobResult.
  *
  *   csched_cli [options]
  *     --workload NAME     benchmark to schedule (default tomcatv;
- *                         "list" prints the registry)
+ *                         "list" prints the registry), or an arrival
+ *                         stream spec such as stream:poisson:n=12:
+ *                         seed=1:mean-gap=500:workloads=fir+vvmul
+ *                         (see online/arrival.hh)
  *     --machine SPEC      vliwN | rawN | rawRxC | single (default
  *                         vliw4); malformed specs are rejected
  *     --algorithm SPEC    convergent | uas | pcc | rawcc | single |
  *                         bug, optionally with a pass sequence as in
  *                         "convergent:INITTIME,PLACE,COMM" (default
- *                         convergent)
+ *                         convergent); an online policy (online-*,
+ *                         see online/policy.hh) for a stream workload
  *     --sequence PASSES   custom convergent pass list (equivalent to
  *                         the --algorithm suffix form)
- *     --json FILE         write the structured run report ("-" =
- *                         stdout)
- *     --jobs N            worker threads for the --json report path
- *                         (0 = hardware concurrency)
- *     --gantt             print the per-FU timeline
- *     --placements        print one line per instruction
+ *     --speedup           also compute speedup vs one cluster
  *     --trace             print the convergence trace
  *     --dot FILE          write the coloured dependence graph (DOT)
+ *     --gantt             print the per-FU timeline
+ *     --placements        print one line per instruction
  *     --pressure          print register-pressure stats
- *     --speedup           also compute speedup vs one cluster
- *     --deadline-ms N     per-attempt deadline; 0 = none
- *     --retries N         retry a failed/timed-out run up to N times
- *     --isolate           (with --json) run the job in a forked
- *                         worker process so a crash/hang/OOM becomes
- *                         a recorded outcome, not a process death
- *     --mem-limit-mb N    RLIMIT_AS per isolated worker; 0 = none
- *     --journal FILE      (with --json) append terminal job outcomes
- *                         to FILE as they complete
- *     --resume            (with --journal) replay journaled outcomes
- *                         instead of re-running those jobs
- *     --hosts CSV         (with --json) execute jobs on a fleet of
- *                         csched_workerd daemons, "host:port" each;
- *                         partition-tolerant (see dist/remote_pool.hh)
- *                         and byte-identical to an in-process run
- *     --keep-going        exit 0 even when the run (or a grid job)
- *                         failed
+ *     --emit-trace FILE   write the stream workload's csched-stream-v1
+ *                         JSONL trace (replay it with --workload
+ *                         stream:trace:file=FILE)
  *
- * Online mode (see online/online_grid.hh) sweeps arrival streams
- * instead of single workloads; it shares --json/--jobs/--journal/
- * --resume/--isolate and the execution knobs above:
- *     --online            run a (stream x machine x policy) sweep
- *     --streams CSV       stream specs, e.g.
- *                         stream:poisson:n=12:seed=1:mean-gap=500:
- *                         workloads=fir+vvmul (specs are comma-free)
- *     --machines CSV      machine specs for the sweep
- *     --policies CSV      online policies (default: all five)
- *     --emit-trace FILE   also write the streams' csched-stream-v1
- *                         JSONL traces (replay with stream:trace:
- *                         file=FILE when sweeping a single stream)
+ * plus the execution flags shared with csched_bench suite (see
+ * runner/driver.hh): --jobs, --deadline-ms, --retries, --isolate,
+ * --mem-limit-mb, --journal, --resume, --hosts, --keep-going and
+ * --json FILE (the csched-grid-report-v2 report, "-" = stdout).
+ *
+ * --gantt, --placements and --pressure read the Schedule that only an
+ * in-process run keeps, so they are usage errors with --isolate,
+ * --hosts and --resume; the other views need only the JobResult.  A
+ * stream workload prints its online metrics instead of the views.
  *
  * Failures are structured: a bad spec is a usage error (exit 2), while
  * a run that fails -- checker rejection, deadline, injected fault --
  * prints a diagnostic and exits 1 unless --keep-going.  SIGINT/SIGTERM
  * stop the run gracefully and exit 128+signum; file outputs (--json,
- * --dot) are atomic (tmp + fsync + rename).  (A hidden --inject RULES
- * option arms the deterministic fault-injection harness; see
- * fault_injection.hh.)
+ * --dot, --emit-trace) are atomic (tmp + fsync + rename).
  */
 
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "dist/remote_pool.hh"
 #include "eval/experiment.hh"
-#include "eval/speedup.hh"
 #include "ir/dot_export.hh"
 #include "machine/machine_spec.hh"
 #include "online/arrival.hh"
-#include "online/online_grid.hh"
-#include "runner/failure_summary.hh"
+#include "runner/driver.hh"
 #include "runner/grid_runner.hh"
-#include "runner/json_report.hh"
-#include "tool_version.hh"
 #include "runner/shutdown.hh"
 #include "sched/register_pressure.hh"
 #include "sched/schedule_printer.hh"
 #include "support/atomic_file.hh"
-#include "support/cancel.hh"
-#include "support/fault_injection.hh"
 #include "support/str.hh"
+#include "tool_version.hh"
 #include "workloads/workloads.hh"
 
 using namespace csched;
@@ -98,18 +78,137 @@ usage(const char *argv0, const std::string &why = "")
     if (!why.empty())
         std::cerr << argv0 << ": " << why << "\n";
     std::cerr << "usage: " << argv0
-              << " [--workload NAME] [--machine vliwN|rawN|rawRxC]"
-              << " [--algorithm SPEC]\n"
+              << " [--workload NAME|STREAM]"
+              << " [--machine vliwN|rawN|rawRxC] [--algorithm SPEC]\n"
               << "  [--sequence PASSES] [--json FILE] [--jobs N]"
               << " [--gantt] [--placements]\n"
-              << "  [--trace] [--dot FILE] [--pressure] [--speedup]\n"
+              << "  [--trace] [--dot FILE] [--pressure] [--speedup]"
+              << " [--emit-trace FILE]\n"
               << "  [--deadline-ms N] [--retries N] [--isolate]"
               << " [--mem-limit-mb N]\n"
               << "  [--journal FILE] [--resume] [--hosts CSV]"
-              << " [--keep-going] [--version]\n"
-              << "  [--online [--streams CSV] [--machines CSV]"
-              << " [--policies CSV] [--emit-trace FILE]]\n";
+              << " [--keep-going] [--version]\n";
     std::exit(2);
+}
+
+/** Which views of the cell to print after the summary line. */
+struct Views
+{
+    bool speedup = false;
+    bool pressure = false;
+    bool trace = false;
+    bool gantt = false;
+    bool placements = false;
+    std::string dotFile;
+
+    /** Views that read the Schedule only an in-process run keeps. */
+    bool needSchedule() const { return gantt || placements || pressure; }
+    bool any() const
+    {
+        return speedup || trace || needSchedule() || !dotFile.empty();
+    }
+};
+
+/** Write @p stream's arrival trace to @p path; false on failure. */
+bool
+emitStreamTrace(const char *argv0, const std::string &stream,
+                const std::string &path)
+{
+    const auto spec = parseStreamSpec(stream);
+    const auto arrivals = generateArrivals(*spec);
+    const Status written =
+        arrivals.ok()
+            ? writeFileAtomic(path, streamTraceText(*spec, *arrivals))
+            : arrivals.status();
+    if (!written.ok()) {
+        std::cerr << argv0 << ": " << written.toString() << "\n";
+        return false;
+    }
+    std::cout << "wrote " << path << "\n";
+    return true;
+}
+
+void
+printOnlineSummary(const JobResult &job)
+{
+    std::cout << job.workload << " on " << job.machine << " via "
+              << job.algorithm << ": " << job.regions
+              << " regions, weighted completion "
+              << job.weightedCompletion << ", makespan " << job.makespan
+              << ", max flow " << job.maxFlowTime << ", mean flow "
+              << formatDouble(job.meanFlowTime, 1) << ", misses "
+              << job.deadlineMisses << ", preemptions "
+              << job.preemptions << "\n";
+}
+
+/**
+ * The summary line and the requested views of a successful offline
+ * cell.  Returns false when a file view could not be written.
+ */
+bool
+printOfflineViews(const char *argv0, const JobResult &job,
+                  const MachineModel &machine, const Views &views)
+{
+    std::cout << job.workload << " on " << machine.name() << " via "
+              << job.algorithmName << ": " << job.instructions
+              << " instructions, makespan " << job.makespan
+              << " cycles (CPL " << job.criticalPathLength
+              << "), scheduled in " << formatDouble(job.seconds * 1e3, 2)
+              << " ms\n";
+
+    if (views.speedup)
+        std::cout << "speedup vs one cluster: "
+                  << formatDouble(job.speedup, 2) << "x\n";
+
+    // The job's own graph, rebuilt: graph construction is a pure
+    // function of (workload, machine).
+    std::optional<DependenceGraph> graph;
+    if (views.needSchedule() || !views.dotFile.empty()) {
+        auto built = buildJobGraph(job.workload, machine);
+        if (!built.ok()) {
+            std::cerr << argv0 << ": " << built.status().toString()
+                      << "\n";
+            return false;
+        }
+        graph = std::move(*built);
+    }
+    if (views.pressure) {
+        const auto report = analyzePressure(*graph, *job.schedule);
+        const int budget = machine.registersPerCluster();
+        std::cout << "peak register pressure: " << report.peak()
+                  << " (budget " << budget << "; clusters over budget: "
+                  << report.clustersOverBudget(budget) << ")\n";
+    }
+    if (views.trace) {
+        if (job.trace.empty())
+            std::cout << "(no convergence trace: " << job.algorithmName
+                      << " has no pass pipeline)\n";
+        for (const auto &step : job.trace)
+            std::cout << "  " << step.pass << ": "
+                      << formatDouble(step.fractionChanged, 3)
+                      << (step.temporalOnly ? " (temporal)" : "")
+                      << "  [" << formatDouble(step.seconds * 1e3, 2)
+                      << " ms]\n";
+    }
+    if (views.gantt) {
+        std::cout << "\n";
+        printGantt(std::cout, *graph, machine, *job.schedule);
+    }
+    if (views.placements) {
+        std::cout << "\n";
+        printPlacements(std::cout, *graph, *job.schedule);
+    }
+    if (!views.dotFile.empty()) {
+        std::ostringstream out;
+        exportDot(out, *graph, job.assignment);
+        const Status written = writeFileAtomic(views.dotFile, out.str());
+        if (!written.ok()) {
+            std::cerr << argv0 << ": " << written.toString() << "\n";
+            return false;
+        }
+        std::cout << "wrote " << views.dotFile << "\n";
+    }
+    return true;
 }
 
 } // namespace
@@ -117,43 +216,29 @@ usage(const char *argv0, const std::string &why = "")
 int
 main(int argc, char **argv)
 {
+    const char *argv0 = argv[0];
+    const std::vector<std::string> args(argv + 1, argv + argc);
     std::string workload = "tomcatv";
     std::string machine_spec = "vliw4";
     std::string algorithm_arg = "convergent";
     std::string sequence;
-    std::string dot_file;
-    std::string json_file;
-    std::string journal_file;
-    bool resume = false;
-    int jobs = 1;
-    int deadline_ms = 0;
-    int retries = 0;
-    bool isolate = false;
-    int mem_limit_mb = 0;
-    std::string hosts_csv;
-    DistOptions dist_options;
-    bool keep_going = false;
-    bool online = false;
-    std::string streams_csv =
-        "stream:poisson:n=12:seed=1:mean-gap=500:workloads=fir+vvmul+"
-        "jacobi";
-    std::string machines_csv = "vliw4";
-    std::string policies_csv = "online-convergent,online-sp,online-list,"
-                               "online-uas,online-pcc";
     std::string trace_file;
-    FaultPlan fault_plan;
-    bool want_gantt = false;
-    bool want_placements = false;
-    bool want_trace = false;
-    bool want_pressure = false;
-    bool want_speedup = false;
+    Views views;
+    GridSpec grid;
+    DriverFlags flags;
 
-    for (int k = 1; k < argc; ++k) {
-        const std::string arg = argv[k];
+    for (size_t k = 0; k < args.size(); ++k) {
+        std::string why;
+        if (parseDriverFlag(args, &k, &grid, &flags, &why)) {
+            if (!why.empty())
+                usage(argv0, why);
+            continue;
+        }
+        const std::string arg = args[k];
         auto next = [&]() -> std::string {
-            if (k + 1 >= argc)
-                usage(argv[0], arg + " needs a value");
-            return argv[++k];
+            if (k + 1 >= args.size())
+                usage(argv0, arg + " needs a value");
+            return args[++k];
         };
         if (arg == "--version") {
             return printToolVersion("csched_cli");
@@ -165,73 +250,22 @@ main(int argc, char **argv)
             algorithm_arg = next();
         } else if (arg == "--sequence") {
             sequence = next();
-        } else if (arg == "--json") {
-            json_file = next();
-        } else if (arg == "--jobs" || arg == "--deadline-ms" ||
-                   arg == "--retries" || arg == "--mem-limit-mb") {
-            const std::string text = next();
-            int parsed = 0;
-            try {
-                parsed = std::stoi(text);
-            } catch (...) {
-                usage(argv[0], arg + " expects an integer, got '" +
-                                   text + "'");
-            }
-            if (parsed < 0)
-                usage(argv[0], arg + " must be >= 0");
-            (arg == "--jobs"          ? jobs
-             : arg == "--deadline-ms" ? deadline_ms
-             : arg == "--retries"     ? retries
-                                      : mem_limit_mb) = parsed;
-        } else if (arg == "--isolate") {
-            isolate = true;
-        } else if (arg == "--journal") {
-            journal_file = next();
-        } else if (arg == "--resume") {
-            resume = true;
-        } else if (arg == "--hosts") {
-            hosts_csv = next();
-        } else if (arg == "--dist-opts") {
-            // Hidden: dist-client timing overrides for tests and CI
-            // (see DistOptions::applyOverrides).
-            const Status applied =
-                DistOptions::applyOverrides(&dist_options, next());
-            if (!applied.ok())
-                usage(argv[0], "--dist-opts: " + applied.message());
-        } else if (arg == "--keep-going") {
-            keep_going = true;
-        } else if (arg == "--online") {
-            online = true;
-        } else if (arg == "--streams") {
-            streams_csv = next();
-        } else if (arg == "--machines") {
-            machines_csv = next();
-        } else if (arg == "--policies") {
-            policies_csv = next();
         } else if (arg == "--emit-trace") {
             trace_file = next();
-        } else if (arg == "--inject") {
-            // Hidden: deterministic fault injection for the
-            // robustness tests (see fault_injection.hh).
-            std::string why;
-            const auto parsed_plan = FaultPlan::parse(next(), &why);
-            if (!parsed_plan.has_value())
-                usage(argv[0], "--inject: " + why);
-            fault_plan = *parsed_plan;
         } else if (arg == "--dot") {
-            dot_file = next();
+            views.dotFile = next();
         } else if (arg == "--gantt") {
-            want_gantt = true;
+            views.gantt = true;
         } else if (arg == "--placements") {
-            want_placements = true;
+            views.placements = true;
         } else if (arg == "--trace") {
-            want_trace = true;
+            views.trace = true;
         } else if (arg == "--pressure") {
-            want_pressure = true;
+            views.pressure = true;
         } else if (arg == "--speedup") {
-            want_speedup = true;
+            views.speedup = true;
         } else {
-            usage(argv[0], "unknown option '" + arg + "'");
+            usage(argv0, "unknown option '" + arg + "'");
         }
     }
 
@@ -242,271 +276,58 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (resume && journal_file.empty())
-        usage(argv[0], "--resume requires --journal");
-    if (!journal_file.empty() && json_file.empty())
-        usage(argv[0], "--journal requires --json (it journals the "
-                       "structured run)");
-    if (!hosts_csv.empty() && json_file.empty())
-        usage(argv[0], "--hosts requires --json (remote execution "
-                       "runs the structured grid)");
-    if (!hosts_csv.empty() && isolate)
-        usage(argv[0], "--hosts and --isolate are mutually exclusive "
-                       "(remote hosts already isolate every job)");
-
-    installGridSignalHandlers();
-
-    if (online) {
-        OnlineGridSpec sweep;
-        sweep.streams = split(streams_csv, ',');
-        // splitMachineList, not a bare split: faults= suffixes carry
-        // commas of their own.
-        sweep.machines = splitMachineList(machines_csv);
-        sweep.policies = split(policies_csv, ',');
-        sweep.jobs = jobs;
-        sweep.deadlineMs = deadline_ms;
-        sweep.retries = retries;
-        sweep.journalPath = journal_file;
-        sweep.resume = resume;
-        sweep.isolate = isolate;
-        sweep.memLimitMb = mem_limit_mb;
-        if (!fault_plan.empty())
-            sweep.faults = &fault_plan;
-        auto grid = makeOnlineGrid(sweep);
-        if (!grid.ok())
-            usage(argv[0], grid.status().message());
-        if (!hosts_csv.empty()) {
-            grid->hosts = split(hosts_csv, ',');
-            grid->dist = &dist_options;
-        }
-
-        if (!trace_file.empty()) {
-            std::string traces;
-            for (const std::string &stream : sweep.streams) {
-                const auto parsed_stream = parseStreamSpec(stream);
-                auto arrivals = generateArrivals(*parsed_stream);
-                if (!arrivals.ok()) {
-                    std::cerr << argv[0] << ": "
-                              << arrivals.status().toString() << "\n";
-                    return 1;
-                }
-                traces += streamTraceText(*parsed_stream, *arrivals);
-            }
-            const Status written = writeFileAtomic(trace_file, traces);
-            if (!written.ok()) {
-                std::cerr << argv[0] << ": " << written.toString()
-                          << "\n";
-                return 1;
-            }
-            std::cout << "wrote " << trace_file << "\n";
-        }
-
-        const GridReport report = runGrid(*grid);
-        if (json_file.empty() || json_file == "-") {
-            for (const auto &job : report.results) {
-                std::cout << job.workload << " on " << job.machine
-                          << " via " << job.algorithm << ": ";
-                if (!job.ok()) {
-                    std::cout << jobOutcomeName(job.outcome) << " ("
-                              << job.diagnostic << ")\n";
-                    continue;
-                }
-                std::cout << job.regions << " regions, weighted "
-                          << "completion " << job.weightedCompletion
-                          << ", makespan " << job.makespan
-                          << ", max flow " << job.maxFlowTime
-                          << ", mean flow "
-                          << formatDouble(job.meanFlowTime, 1)
-                          << ", misses " << job.deadlineMisses
-                          << ", preemptions " << job.preemptions
-                          << "\n";
-            }
-        }
-        if (!json_file.empty()) {
-            if (json_file == "-") {
-                writeGridReport(std::cout, report);
-            } else {
-                FaultScope report_faults(sweep.faults, "report");
-                ScopedFaultScope report_fault_guard(&report_faults);
-                const Status written = writeFileAtomic(
-                    json_file, gridReportToJson(report));
-                if (!written.ok()) {
-                    std::cerr << argv[0] << ": " << written.toString()
-                              << "\n";
-                    return 1;
-                }
-                std::cout << "wrote " << json_file << "\n";
-            }
-        }
-        printFailureSummary(std::cerr, report);
-        return gridExitCode(report, keep_going);
-    }
-
     std::string error;
     const auto machine = parseMachineSpec(machine_spec, &error);
     if (machine == nullptr)
-        usage(argv[0], error);
+        usage(argv0, error);
 
     auto parsed = parseAlgorithmSpec(algorithm_arg, &error);
     if (!parsed.has_value())
-        usage(argv[0], error);
+        usage(argv0, error);
     AlgorithmSpec algorithm_spec = *parsed;
     if (!sequence.empty()) {
         if (!algorithm_spec.sequence.empty())
-            usage(argv[0], "--sequence conflicts with the --algorithm "
-                           "pass suffix");
+            usage(argv0, "--sequence conflicts with the --algorithm "
+                         "pass suffix");
         algorithm_spec.sequence = sequence;
         parsed = parseAlgorithmSpec(algorithm_spec.text(), &error);
         if (!parsed.has_value())
-            usage(argv[0], error);
+            usage(argv0, error);
         algorithm_spec = *parsed;
     }
 
-    const WorkloadSpec *found = tryFindWorkload(workload);
-    if (found == nullptr)
-        usage(argv[0], "unknown workload '" + workload +
-                           "' (try --workload list)");
-    const auto &spec = *found;
-    auto graph = spec.build(machine->numClusters(),
-                            machine->numClusters());
-    remapPreplacedForMachine(graph, *machine);
+    const bool stream = isStreamWorkload(workload);
+    if (!stream && tryFindWorkload(workload) == nullptr)
+        usage(argv0, "unknown workload '" + workload +
+                         "' (try --workload list)");
+    if (stream && views.any())
+        usage(argv0, "--speedup, --trace, --dot, --gantt, --placements "
+                     "and --pressure need an offline workload");
+    if (!stream && !trace_file.empty())
+        usage(argv0, "--emit-trace needs a stream workload");
+    if (views.needSchedule() &&
+        (grid.isolate || !grid.hosts.empty() || grid.resume))
+        usage(argv0, "--gantt, --placements and --pressure need the "
+                     "in-process schedule, which --isolate, --hosts and "
+                     "--resume do not keep");
 
-    // The interactive run is one "job": same fault scope key, deadline,
-    // and bounded-retry loop as a grid cell (see runner/job.hh), but
-    // keeping the Schedule object for the inspection flags below.
-    FaultScope faults(fault_plan.empty() ? nullptr : &fault_plan,
-                      workload + "/" + machine_spec + "/" +
-                          algorithm_spec.text());
-    ScopedFaultScope fault_guard(&faults);
+    grid.workloads = {workload};
+    grid.machines = {machine_spec};
+    grid.algorithms = {algorithm_spec};
+    grid.computeSpeedup = views.speedup;
+    if (!validateGrid(grid, &error))
+        usage(argv0, error);
 
-    auto attemptRun = [&]() -> StatusOr<RunResult> {
-        try {
-            CancelToken token;
-            if (deadline_ms > 0)
-                token.armDeadline(deadline_ms);
-            ScopedCancelToken cancel_guard(&token);
-            checkpoint("runner.job.start");
-            auto algorithm = tryMakeAlgorithm(algorithm_spec, *machine);
-            if (!algorithm.ok())
-                return algorithm.status();
-            return tryRunAndCheck(**algorithm, graph, *machine);
-        } catch (const StatusError &error) {
-            return error.status;
-        }
-    };
-    auto run = attemptRun();
-    int attempts = 1;
-    while (!run.ok() && run.status().code() != ErrorCode::InvalidSpec &&
-           run.status().code() != ErrorCode::Interrupted &&
-           attempts <= retries) {
-        ++attempts;
-        run = attemptRun();
-    }
-    if (!run.ok()) {
-        std::cerr << argv[0] << ": " << workload << " on "
-                  << machine_spec << " failed after " << attempts
-                  << (attempts == 1 ? " attempt: " : " attempts: ")
-                  << run.status().toString() << "\n";
-        if (run.status().code() == ErrorCode::Interrupted)
-            return interruptExitCode(interruptSignal());
-        return keep_going ? 0 : 1;
-    }
-    const Schedule &schedule = run->result.schedule;
+    if (!trace_file.empty() &&
+        !emitStreamTrace(argv0, workload, trace_file))
+        return 1;
 
-    std::cout << workload << " on " << machine->name() << " via "
-              << run->algorithm << ": " << run->instructions
-              << " instructions, makespan " << run->makespan
-              << " cycles (CPL " << graph.criticalPathLength()
-              << "), scheduled in "
-              << formatDouble(run->seconds * 1e3, 2) << " ms\n";
-
-    if (want_speedup) {
-        const auto base = trySingleClusterMakespan(spec, *machine);
-        if (!base.ok()) {
-            std::cerr << argv[0] << ": " << base.status().toString()
-                      << "\n";
-            return keep_going ? 0 : 1;
-        }
-        std::cout << "speedup vs one cluster: "
-                  << formatDouble(static_cast<double>(*base) /
-                                      static_cast<double>(run->makespan),
-                                  2)
-                  << "x\n";
-    }
-    if (want_pressure) {
-        const auto report = analyzePressure(graph, schedule);
-        std::cout << "peak register pressure: " << report.peak()
-                  << " (budget " << machine->registersPerCluster()
-                  << "; clusters over budget: "
-                  << report.clustersOverBudget(
-                         machine->registersPerCluster())
-                  << ")\n";
-    }
-    if (want_trace) {
-        if (run->result.trace.empty())
-            std::cout << "(no convergence trace: " << run->algorithm
-                      << " has no pass pipeline)\n";
-        for (const auto &step : run->result.trace)
-            std::cout << "  " << step.pass << ": "
-                      << formatDouble(step.fractionChanged, 3)
-                      << (step.temporalOnly ? " (temporal)" : "")
-                      << "  [" << formatDouble(step.seconds * 1e3, 2)
-                      << " ms]\n";
-    }
-    if (want_gantt) {
-        std::cout << "\n";
-        printGantt(std::cout, graph, *machine, schedule);
-    }
-    if (want_placements) {
-        std::cout << "\n";
-        printPlacements(std::cout, graph, schedule);
-    }
-    if (!dot_file.empty()) {
-        std::ostringstream out;
-        exportDot(out, graph, schedule.assignment());
-        const Status written = writeFileAtomic(dot_file, out.str());
-        if (!written.ok()) {
-            std::cerr << argv[0] << ": " << written.toString() << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << dot_file << "\n";
-    }
-    if (!json_file.empty()) {
-        GridSpec grid;
-        grid.workloads = {workload};
-        grid.machines = {machine_spec};
-        grid.algorithms = {algorithm_spec};
-        grid.jobs = jobs;
-        grid.computeSpeedup = want_speedup;
-        grid.deadlineMs = deadline_ms;
-        grid.retries = retries;
-        grid.journalPath = journal_file;
-        grid.resume = resume;
-        grid.isolate = isolate;
-        grid.memLimitMb = mem_limit_mb;
-        if (!hosts_csv.empty()) {
-            grid.hosts = split(hosts_csv, ',');
-            grid.dist = &dist_options;
-        }
-        if (!fault_plan.empty())
-            grid.faults = &fault_plan;
-        const GridReport report = runGrid(grid);
-        if (json_file == "-") {
-            writeGridReport(std::cout, report);
-        } else {
-            FaultScope report_faults(grid.faults, "report");
-            ScopedFaultScope report_fault_guard(&report_faults);
-            const Status written =
-                writeFileAtomic(json_file, gridReportToJson(report));
-            if (!written.ok()) {
-                std::cerr << argv[0] << ": " << written.toString()
-                          << "\n";
-                return 1;
-            }
-            std::cout << "wrote " << json_file << "\n";
-        }
-        printFailureSummary(std::cerr, report);
-        return gridExitCode(report, keep_going);
-    }
-    return 0;
+    installGridSignalHandlers();
+    const GridReport report = runGrid(grid);
+    const JobResult &job = report.results.front();
+    if (job.ok() && stream)
+        printOnlineSummary(job);
+    else if (job.ok() && !printOfflineViews(argv0, job, *machine, views))
+        return 1;
+    return finishGridRun(argv0, report, flags, ReportOptions(), true);
 }
