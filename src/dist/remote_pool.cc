@@ -53,14 +53,6 @@ quarantineCooldownMs(const std::string &endpoint, uint64_t trip,
     return std::max(1, static_cast<int>(base * jitter));
 }
 
-void
-fillInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -747,7 +739,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
     ScopedLogContext log_context("job " + jobKey(spec));
 
     if (interruptRequested()) {
-        fillInterrupted(result, "before the job started");
+        markInterrupted(result, "before the job started");
         result.attempts = 0;
         return result;
     }
@@ -774,7 +766,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
         RemoteWorkerPool::Host *host = nullptr;
         while ((host = pool.pickHostLocked(affinity_key)) == nullptr) {
             if (interruptRequested()) {
-                fillInterrupted(result,
+                markInterrupted(result,
                                 "while waiting for a worker host");
                 result.attempts = 0;
                 return result;
@@ -847,7 +839,7 @@ runJobRemote(const JobSpec &spec, const JobPolicy &policy,
                     h.active = std::max(0, h.active - 1);
                 }
                 lease.outstanding.clear();
-                fillInterrupted(
+                markInterrupted(
                     result, "while the job was leased to a remote "
                             "host");
                 result.attempts = 0;

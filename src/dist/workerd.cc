@@ -1,190 +1,68 @@
 #include "dist/workerd.hh"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include "runner/shutdown.hh"
 #include "runner/thread_pool.hh"
 #include "runner/worker.hh"
-#include "support/atomic_file.hh"
-#include "support/logging.hh"
-#include "support/socket.hh"
 #include "support/subprocess.hh"
 
 namespace csched {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /** Budget for a new connection's hello frame. */
 constexpr int kHandshakeTimeoutMs = 5000;
 
-/** Idle tick for reader loops, so drain flags are polled. */
-constexpr int kReadTickMs = 200;
-
-/** How long a drain waits for in-flight jobs after escalation. */
-constexpr int kDrainJobGraceMs = 5000;
+/**
+ * The core's shape: one executor per pool worker over an unbounded
+ * queue, and no drain grace -- the drain step drops every connection,
+ * so in-flight jobs are escalated at once.
+ */
+DaemonConfig
+daemonConfig(const WorkerdOptions &options, int capacity)
+{
+    DaemonConfig config;
+    config.name = "csched_workerd";
+    config.host = options.host;
+    config.port = options.port;
+    config.portFile = options.portFile;
+    config.poolSize = capacity;
+    config.executors = capacity;
+    config.queueCapacity = std::numeric_limits<std::size_t>::max();
+    config.drainGraceMs = 0;
+    return config;
+}
 
 } // namespace
 
-/** One accepted client connection. */
-struct WorkerdServer::Connection
-{
-    explicit Connection(int fd) : fd(fd) {}
-    ~Connection()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-
-    Connection(const Connection &) = delete;
-    Connection &operator=(const Connection &) = delete;
-
-    /** Serialize frame writes (reader pongs vs job-thread results). */
-    Status send(const std::string &payload)
-    {
-        std::lock_guard<std::mutex> lock(writeMutex);
-        return writeFrame(fd, payload);
-    }
-
-    /** Wake a blocked reader; subsequent reads see EOF. */
-    void shutdownBoth() { ::shutdown(fd, SHUT_RDWR); }
-
-    int fd = -1;
-    std::mutex writeMutex;
-};
-
-/** The WorkerdStats fields in atomic form. */
-struct WorkerdServer::Counters
-{
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> handshakeFailures{0};
-    std::atomic<uint64_t> malformedFrames{0};
-    std::atomic<uint64_t> oversizedFrames{0};
-    std::atomic<uint64_t> invalidMessages{0};
-    std::atomic<uint64_t> pings{0};
-    std::atomic<uint64_t> jobsRun{0};
-    std::atomic<uint64_t> resultsSent{0};
-    std::atomic<uint64_t> resultsDropped{0};
-};
-
 WorkerdServer::WorkerdServer(WorkerdOptions options)
     : options_(std::move(options)),
-      counters_(std::make_unique<Counters>())
+      capacity_(options_.workers > 0 ? options_.workers
+                                     : ThreadPool::defaultConcurrency()),
+      crashScope_(options_.faults, "workerd"),
+      daemon_(*this, options_, daemonConfig(options_, capacity_))
 {
-}
-
-WorkerdServer::~WorkerdServer()
-{
-    if (started_ && !finished_) {
-        stop_.store(true);
-        (void)drainAndExit();
-    }
-}
-
-Status
-WorkerdServer::start()
-{
-    capacity_ = options_.workers > 0
-                    ? options_.workers
-                    : ThreadPool::defaultConcurrency();
-
-    // Fork the pool first: workers must not inherit the listen fd,
-    // and WorkerPool wants a single-threaded process.
-    pool_ = std::make_unique<WorkerPool>(capacity_,
-                                         options_.memLimitMb);
-    crashScope_ =
-        std::make_unique<FaultScope>(options_.faults, "workerd");
-
-    auto listening = listenTcp(options_.host, options_.port);
-    if (!listening.ok()) {
-        pool_.reset();
-        return listening.status().withContext("csched_workerd");
-    }
-    listenFd_ = *listening;
-    auto bound = boundTcpPort(listenFd_);
-    if (!bound.ok()) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-        pool_.reset();
-        return bound.status().withContext("csched_workerd");
-    }
-    boundPort_ = *bound;
-
-    if (!options_.portFile.empty()) {
-        const Status wrote = writeFileAtomic(
-            options_.portFile, std::to_string(boundPort_) + "\n");
-        if (!wrote.ok()) {
-            ::close(listenFd_);
-            listenFd_ = -1;
-            pool_.reset();
-            return wrote.withContext("csched_workerd --port-file");
-        }
-    }
-
-    started_ = true;
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "[csched_workerd] listening on %s:%u (%d "
-                     "workers)\n",
-                     options_.host.c_str(), boundPort_, capacity_);
-    return Status();
-}
-
-int
-WorkerdServer::run()
-{
-    CSCHED_ASSERT(started_, "WorkerdServer::run() before start()");
-    while (!drainingNow()) {
-        auto client = acceptClient(listenFd_, 50);
-        if (!client.ok()) {
-            if (client.status().code() == ErrorCode::Timeout)
-                continue;  // idle tick; re-check the drain flags
-            CSCHED_WARN("accept failed: ",
-                        client.status().toString());
-            continue;
-        }
-        // Result frames stream back-to-back on this fd; without
-        // NODELAY each one stalls on Nagle + delayed ACK (~40 ms).
-        setTcpNoDelay(*client);
-        setSendTimeout(*client, options_.sendTimeoutMs);
-        counters_->connections.fetch_add(1);
-        auto connection = std::make_shared<Connection>(*client);
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.push_back(connection);
-        readerThreads_.emplace_back(&WorkerdServer::readerMain, this,
-                                    connection);
-    }
-    return drainAndExit();
-}
-
-void
-WorkerdServer::stop()
-{
-    stop_.store(true);
 }
 
 bool
-WorkerdServer::drainingNow() const
+WorkerdServer::admitConnection()
 {
-    return stop_.load() || drainRequested();
+    counters_.add(&WorkerdStats::connections);
+    return true;
 }
 
 void
 WorkerdServer::hitCrashPoint()
 {
-    // One deterministic hit per dispatched job, counters shared
+    // One deterministic hit per received job frame, counters shared
     // daemon-wide: `workerd.crash=fail:nth=1` kills the daemon on its
     // first job.  SIGKILL, because the failure being modelled is a
     // *crash* -- no drain, no goodbye frames, leases heal it.
     std::lock_guard<std::mutex> lock(crashMutex_);
     try {
-        crashScope_->hit("workerd.crash");
+        crashScope_.hit("workerd.crash");
     } catch (const StatusError &) {
         if (options_.verbose)
             std::fprintf(stderr, "[csched_workerd] workerd.crash "
@@ -193,227 +71,89 @@ WorkerdServer::hitCrashPoint()
     }
 }
 
+void
+WorkerdServer::runJob(Connection &connection, uint64_t id,
+                      const WorkerJobFrame &frame)
+{
+    // During a drain nothing runs or is sent: connections are being
+    // torn down, and the client's lease layer reassigns the job.
+    if (daemon_.draining()) {
+        counters_.add(&WorkerdStats::resultsDropped);
+        return;
+    }
+    const BaselineMemo memo = frame.baselineMemo();
+    counters_.add(&WorkerdStats::jobsRun);
+    // propagate_interrupt=false: an `interrupted` outcome here
+    // belongs to the *client's* grid (injected runner.interrupt
+    // inside the job); it must not drain this daemon.
+    const JobResult result = runJobIsolated(
+        frame.spec, frame.policy(), daemon_.pool(),
+        memo.empty() ? nullptr : &memo, /*propagate_interrupt=*/false);
+    if (!daemon_.draining() &&
+        connection.send(encodeDistResult(id, result)).ok())
+        counters_.add(&WorkerdStats::resultsSent);
+    else
+        counters_.add(&WorkerdStats::resultsDropped);
+}
+
 bool
-WorkerdServer::acquireSlot()
-{
-    std::unique_lock<std::mutex> lock(slotsMutex_);
-    for (;;) {
-        if (drainingNow())
-            return false;
-        if (busySlots_ < capacity_) {
-            ++busySlots_;
-            return true;
-        }
-        slotsFreed_.wait_for(lock, std::chrono::milliseconds(100));
-    }
-}
-
-void
-WorkerdServer::releaseSlot()
-{
-    {
-        std::lock_guard<std::mutex> lock(slotsMutex_);
-        --busySlots_;
-    }
-    slotsFreed_.notify_one();
-}
-
-void
-WorkerdServer::jobMain(std::shared_ptr<Connection> connection,
-                       uint64_t id, WorkerJobFrame frame)
-{
-    hitCrashPoint();
-
-    JobResult result;
-    bool ran = false;
-    if (acquireSlot()) {
-        const BaselineMemo memo = frame.baselineMemo();
-        counters_->jobsRun.fetch_add(1);
-        // propagate_interrupt=false: an `interrupted` outcome here
-        // belongs to the *client's* grid (injected runner.interrupt
-        // inside the job); it must not drain this daemon.
-        result = runJobIsolated(frame.spec, frame.policy(), *pool_,
-                                memo.empty() ? nullptr : &memo,
-                                /*propagate_interrupt=*/false);
-        releaseSlot();
-        ran = true;
-    }
-
-    // During a drain nothing is sent: connections are being torn
-    // down, and the client's lease layer reassigns the job anyway.
-    if (!ran || drainingNow()) {
-        counters_->resultsDropped.fetch_add(1);
-    } else if (connection->send(encodeDistResult(id, result)).ok()) {
-        counters_->resultsSent.fetch_add(1);
-    } else {
-        counters_->resultsDropped.fetch_add(1);
-    }
-
-    if (activeJobs_.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(jobsDoneMutex_);
-        jobsDone_.notify_all();
-    }
-}
-
-void
-WorkerdServer::readerMain(std::shared_ptr<Connection> connection)
+WorkerdServer::openConnection(Connection &connection)
 {
     // Handshake: the first frame must be a hello; everything else --
     // silence, garbage, a stray HTTP request -- costs the peer its
     // connection and nothing more.
-    bool welcomed = false;
-    {
-        const FrameResult frame = readFrame(
-            connection->fd, kHandshakeTimeoutMs, options_.maxFrameBytes);
-        if (frame.ok()) {
-            auto decoded = decodeDistMessage(frame.payload);
-            if (decoded.ok() &&
-                decoded->kind == DistMessage::Kind::Hello &&
-                connection->send(encodeDistWelcome(capacity_)).ok())
-                welcomed = true;
-        }
-        if (!welcomed)
-            counters_->handshakeFailures.fetch_add(1);
-    }
-
-    while (welcomed) {
-        const FrameResult frame = readFrame(
-            connection->fd, kReadTickMs, options_.maxFrameBytes);
-        if (frame.kind == FrameResult::Kind::Eof)
-            break;
-        if (frame.kind == FrameResult::Kind::Timeout) {
-            if (drainingNow())
-                break;
-            continue;  // idle tick
-        }
-        if (frame.kind == FrameResult::Kind::Oversized) {
-            // The stream is no longer framed (the oversized payload
-            // was not consumed); the connection is unusable.
-            counters_->oversizedFrames.fetch_add(1);
-            break;
-        }
-        if (frame.kind == FrameResult::Kind::Malformed) {
-            counters_->malformedFrames.fetch_add(1);
-            break;
-        }
-
+    const FrameResult frame = readFrame(
+        connection.fd(), kHandshakeTimeoutMs, options_.maxFrameBytes);
+    if (frame.ok()) {
         auto decoded = decodeDistMessage(frame.payload);
-        if (!decoded.ok()) {
-            // Framing intact but the peer speaks something else; a
-            // broken client would only keep garbling, so drop it.
-            counters_->invalidMessages.fetch_add(1);
-            break;
-        }
-        if (decoded->kind == DistMessage::Kind::Ping) {
-            counters_->pings.fetch_add(1);
-            if (!connection->send(encodeDistPong(decoded->seq)).ok())
-                break;
-            continue;
-        }
-        if (decoded->kind == DistMessage::Kind::Job) {
-            activeJobs_.fetch_add(1);
-            std::lock_guard<std::mutex> lock(jobThreadsMutex_);
-            jobThreads_.emplace_back(&WorkerdServer::jobMain, this,
-                                     connection, decoded->id,
-                                     std::move(*decoded->job));
-            continue;
-        }
-        // A client has no business sending welcome/result/pong.
-        counters_->invalidMessages.fetch_add(1);
-        break;
+        if (decoded.ok() && decoded->kind == DistMessage::Kind::Hello &&
+            connection.send(encodeDistWelcome(capacity_)).ok())
+            return true;
     }
-
-    std::lock_guard<std::mutex> lock(connectionsMutex_);
-    for (auto it = connections_.begin(); it != connections_.end();
-         ++it) {
-        if (it->get() == connection.get()) {
-            connections_.erase(it);
-            break;
-        }
-    }
+    counters_.add(&WorkerdStats::handshakeFailures);
+    return false;
 }
 
-int
-WorkerdServer::drainAndExit()
+void
+WorkerdServer::handleBadFrame(Connection &, const FrameResult &frame)
 {
-    const int signum = interruptSignal();
-    if (options_.verbose)
-        std::fprintf(stderr, "[csched_workerd] draining (%s)\n",
-                     signum != 0 ? "signal" : "stop");
-
-    // 1. No new connections or admissions.
-    stop_.store(true);
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    slotsFreed_.notify_all();
-
-    // 2. Drop every connection now.  Unlike the serve daemon there is
-    //    no backlog to answer: the client's lease layer treats the
-    //    disconnect as a host loss and reassigns, which is faster and
-    //    simpler than finishing in-flight replies during a shutdown.
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        for (const auto &connection : connections_)
-            connection->shutdownBoth();
-    }
-
-    // 3. Readers exit promptly on the shutdown (EOF or their next
-    //    idle tick).  They must be joined *before* the job threads so
-    //    no reader can spawn a job thread after the join below.
-    for (std::thread &thread : readerThreads_)
-        thread.join();
-    readerThreads_.clear();
-
-    // 4. In-flight jobs unwind at their next cooperative checkpoint;
-    //    hung workers are killed by the per-dispatch watchdog.  (No
-    //    escalation when idle: an in-process server must not poison
-    //    its host process's cancellation root for nothing.)
-    if (activeJobs_.load() != 0)
-        escalateInterrupt();
-    {
-        std::unique_lock<std::mutex> lock(jobsDoneMutex_);
-        jobsDone_.wait_until(
-            lock,
-            Clock::now() + std::chrono::milliseconds(kDrainJobGraceMs),
-            [this] { return activeJobs_.load() == 0; });
-    }
-    {
-        std::lock_guard<std::mutex> lock(jobThreadsMutex_);
-        for (std::thread &thread : jobThreads_)
-            thread.join();
-        jobThreads_.clear();
-    }
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.clear();
-    }
-
-    // 5. Reap the worker processes.
-    pool_.reset();
-    finished_ = true;
-    const int code = signum != 0 ? interruptExitCode(signum) : 0;
-    if (options_.verbose)
-        std::fprintf(stderr, "[csched_workerd] drained; exit %d\n",
-                     code);
-    return code;
+    // Either way the stream is no longer framed (an oversized payload
+    // was not consumed); the connection is unusable.
+    if (frame.kind == FrameResult::Kind::Oversized)
+        counters_.add(&WorkerdStats::oversizedFrames);
+    else
+        counters_.add(&WorkerdStats::malformedFrames);
 }
 
-WorkerdStats
-WorkerdServer::stats() const
+bool
+WorkerdServer::handleFrame(const std::shared_ptr<Connection> &connection,
+                           std::string payload)
 {
-    WorkerdStats out;
-    out.connections = counters_->connections.load();
-    out.handshakeFailures = counters_->handshakeFailures.load();
-    out.malformedFrames = counters_->malformedFrames.load();
-    out.oversizedFrames = counters_->oversizedFrames.load();
-    out.invalidMessages = counters_->invalidMessages.load();
-    out.pings = counters_->pings.load();
-    out.jobsRun = counters_->jobsRun.load();
-    out.resultsSent = counters_->resultsSent.load();
-    out.resultsDropped = counters_->resultsDropped.load();
-    return out;
+    auto decoded = decodeDistMessage(payload);
+    if (!decoded.ok()) {
+        // Framing intact but the peer speaks something else; a
+        // broken client would only keep garbling, so drop it.
+        counters_.add(&WorkerdStats::invalidMessages);
+        return false;
+    }
+    if (decoded->kind == DistMessage::Kind::Ping) {
+        counters_.add(&WorkerdStats::pings);
+        return connection->send(encodeDistPong(decoded->seq)).ok();
+    }
+    if (decoded->kind == DistMessage::Kind::Job) {
+        hitCrashPoint();
+        const Status queued = daemon_.submit(
+            [this, connection, id = decoded->id,
+             frame = std::move(*decoded->job)](bool) {
+                runJob(*connection, id, frame);
+            });
+        if (!queued.ok())
+            counters_.add(&WorkerdStats::resultsDropped);
+        return true;
+    }
+    // A client has no business sending welcome/result/pong.
+    counters_.add(&WorkerdStats::invalidMessages);
+    return false;
 }
 
 } // namespace csched

@@ -15,49 +15,52 @@
  * propagated into a daemon drain (propagate_interrupt=false): the
  * interrupt belongs to the client's grid.
  *
- * Topology: one accept loop, one reader thread per connection, one
- * short-lived job thread per dispatched job, all execution bounded by
- * a capacity semaphore the size of the worker pool (advertised in the
- * welcome message so clients self-limit).  Heartbeat pings are
- * answered inline by the reader.
+ * Topology: the daemon core (runner/daemon.hh) -- one accept loop,
+ * one reader thread per live connection, and one executor thread per
+ * pool worker draining an unbounded job queue, so a job waiting for a
+ * worker costs one queued frame, not a parked thread.  The capacity
+ * is advertised in the welcome message so clients self-limit.
+ * Heartbeat pings are answered inline by the reader.
  *
  * Untrusted peers: a connection that sends garbage, an oversized
  * length prefix, or any frame that fails decodeDistMessage() is
  * dropped -- counted in the stats, never able to crash or wedge the
  * daemon.
  *
- * Shutdown: serve-style.  The first SIGINT/SIGTERM/SIGHUP stops
- * admissions and closes every connection (clients reassign the lost
- * leases -- that is the dist layer's healing path, so the drain does
- * not wait for stragglers), escalates in-flight jobs to cooperative
- * cancellation, reaps the pool, and exits 128+signum.  The
- * deterministic `workerd.crash` fault point (hit once per dispatched
- * job, scope "workerd") instead dies by SIGKILL -- the reproducible
- * stand-in for a daemon crash in tests and CI.
+ * Shutdown: serve-style, through the core's drain with a grace of
+ * zero.  The first SIGINT/SIGTERM/SIGHUP stops admissions; the drain
+ * step closes every connection (clients reassign the lost leases --
+ * that is the dist layer's healing path, so the drain does not wait
+ * for stragglers); in-flight jobs are escalated to cooperative
+ * cancellation at once; the pool is reaped; exit 128+signum.  The
+ * deterministic `workerd.crash` fault point (hit once per received
+ * job frame, scope "workerd") instead dies by SIGKILL -- the
+ * reproducible stand-in for a daemon crash in tests and CI.
  */
 
 #ifndef CSCHED_DIST_WORKERD_HH
 #define CSCHED_DIST_WORKERD_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dist/protocol.hh"
+#include "runner/daemon.hh"
 #include "support/fault_injection.hh"
 
 namespace csched {
 
-class WorkerPool;
-
-/** Everything a workerd needs to start. */
-struct WorkerdOptions
+/**
+ * Everything a workerd needs to start, over the DaemonOptions defaults
+ * workers 0 (= hardware concurrency), sendTimeoutMs 5000,
+ * maxFrameBytes kDistMaxFrameBytes.
+ */
+struct WorkerdOptions : DaemonOptions
 {
+    WorkerdOptions() : DaemonOptions(0, 5000, kDistMaxFrameBytes) {}
+
     /** Numeric address to bind; loopback by default. */
     std::string host = "127.0.0.1";
     /** TCP port; 0 binds an ephemeral port (see port()). */
@@ -68,17 +71,6 @@ struct WorkerdOptions
      * harnesses discover an ephemeral port.
      */
     std::string portFile;
-    /** Worker processes to pre-fork; 0 = hardware concurrency. */
-    int workers = 0;
-    /** RLIMIT_AS per worker, in megabytes; 0 = unlimited. */
-    int memLimitMb = 0;
-    /** Bound on a blocking reply write to a stalled client. */
-    int sendTimeoutMs = 5000;
-    /** Per-frame size cap for untrusted peers. */
-    uint32_t maxFrameBytes = kDistMaxFrameBytes;
-    /** Armed fault plan (workerd.crash); borrowed, may be null. */
-    const FaultPlan *faults = nullptr;
-    bool verbose = false;
 };
 
 /** Observability counters, snapshot via WorkerdServer::stats(). */
@@ -99,11 +91,10 @@ struct WorkerdStats
  * The daemon itself, usable in-process (tests, the bench harness
  * forks a child that runs one of these) or behind tools/csched_workerd.
  */
-class WorkerdServer
+class WorkerdServer : private DaemonFrontEnd
 {
   public:
     explicit WorkerdServer(WorkerdOptions options);
-    ~WorkerdServer();
 
     WorkerdServer(const WorkerdServer &) = delete;
     WorkerdServer &operator=(const WorkerdServer &) = delete;
@@ -113,61 +104,45 @@ class WorkerdServer
      * bind + listen, and write the port file.  On failure the daemon
      * is unusable and owns no resources.
      */
-    Status start();
+    Status start() { return daemon_.start(); }
 
     /**
      * Serve until a drain (signal via runner/shutdown.hh serve-style
      * handlers, or stop()).  Returns the process exit code:
      * 128+signum after a signal, 0 after stop().
      */
-    int run();
+    int run() { return daemon_.run(); }
 
     /** Ask run() to drain and return (thread-safe). */
-    void stop();
+    void stop() { daemon_.stop(); }
 
     /** The bound TCP port (after start()); 0 before. */
-    uint16_t port() const { return boundPort_; }
+    uint16_t port() const { return daemon_.port(); }
 
-    WorkerdStats stats() const;
+    WorkerdStats stats() const { return counters_.snapshot(); }
 
   private:
-    struct Connection;
+    // DaemonFrontEnd.
+    bool admitConnection() override;
+    bool openConnection(Connection &connection) override;
+    bool handleFrame(const std::shared_ptr<Connection> &connection,
+                     std::string payload) override;
+    void handleBadFrame(Connection &connection,
+                        const FrameResult &frame) override;
+    void drainStep() override { daemon_.closeConnections(); }
 
-    bool drainingNow() const;
-    void readerMain(std::shared_ptr<Connection> connection);
-    void jobMain(std::shared_ptr<Connection> connection, uint64_t id,
-                 WorkerJobFrame frame);
+    void runJob(Connection &connection, uint64_t id,
+                const WorkerJobFrame &frame);
     void hitCrashPoint();
-    bool acquireSlot();
-    void releaseSlot();
-    int drainAndExit();
 
     WorkerdOptions options_;
-    std::unique_ptr<WorkerPool> pool_;
-    std::unique_ptr<FaultScope> crashScope_;  ///< guarded by crashMutex_
+    const int capacity_;
     std::mutex crashMutex_;
-    int listenFd_ = -1;
-    uint16_t boundPort_ = 0;
-    int capacity_ = 0;
-    bool started_ = false;
-    bool finished_ = false;
-    std::atomic<bool> stop_{false};
+    FaultScope crashScope_;  ///< guarded by crashMutex_
 
-    std::mutex slotsMutex_;
-    std::condition_variable slotsFreed_;
-    int busySlots_ = 0;
+    DaemonCounters<WorkerdStats> counters_;
 
-    std::mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
-    std::vector<std::thread> readerThreads_;
-    std::vector<std::thread> jobThreads_;
-    std::mutex jobThreadsMutex_;
-    std::atomic<int> activeJobs_{0};
-    std::mutex jobsDoneMutex_;
-    std::condition_variable jobsDone_;
-
-    struct Counters;
-    std::unique_ptr<Counters> counters_;
+    Daemon daemon_;  ///< last: its destructor drains through the hooks
 };
 
 } // namespace csched

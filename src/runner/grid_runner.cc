@@ -4,7 +4,6 @@
 #include <csignal>
 #include <exception>
 #include <memory>
-#include <thread>
 
 #include "dist/remote_pool.hh"
 #include "eval/speedup.hh"
@@ -164,36 +163,6 @@ interruptPoint()
         faultPoint("runner.interrupt");
     } catch (const StatusError &) {
         requestInterrupt(SIGINT);
-    }
-}
-
-/** Fill @p result as "stopped by shutdown before finishing". */
-void
-markInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
-}
-
-/**
- * Sleep @p ms between retry attempts, in small slices so a drain
- * request cuts the wait short instead of stalling the shutdown.
- */
-void
-backoffSleep(int ms)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (!interruptRequested()) {
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                until - Clock::now())
-                .count();
-        if (left <= 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<long long>(10, left)));
     }
 }
 
@@ -365,7 +334,7 @@ runJob(const JobSpec &spec, const JobPolicy &policy,
             const int delay =
                 retryBackoffMs(jobKey(spec), attempt + 1);
             backoffs.push_back(delay);
-            backoffSleep(delay);
+            interruptibleSleep(delay);
         }
     }
     if (result.outcome != JobOutcome::Ok &&

@@ -206,6 +206,20 @@ int retryBackoffMs(const std::string &job_key, int attempt);
  */
 std::string backoffNote(const std::vector<int> &delays);
 
+/**
+ * Fill @p result as "stopped by shutdown before finishing": outcome
+ * and error Interrupted, diagnostic "shutdown requested <when>", no
+ * worker death recorded.  Every execution mode spells it this way.
+ */
+void markInterrupted(JobResult &result, const char *when);
+
+/**
+ * Sleep @p ms -- a retry backoff -- in slices of at most 10 ms,
+ * returning early once a drain escalated to cancellation
+ * (interruptRequested()), so a backoff never stalls a shutdown.
+ */
+void interruptibleSleep(int ms);
+
 } // namespace csched
 
 #endif // CSCHED_RUNNER_JOB_HH

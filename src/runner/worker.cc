@@ -8,7 +8,6 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -602,33 +601,6 @@ describeDeath(const Dispatch &dispatch)
     return "worker exited without a reply";
 }
 
-/** Sleep @p ms in small slices, stopping early on a drain. */
-void
-interruptibleSleep(int ms)
-{
-    using Clock = std::chrono::steady_clock;
-    const auto until = Clock::now() + std::chrono::milliseconds(ms);
-    while (Clock::now() < until && !interruptRequested())
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<long long>(
-                10,
-                std::max<long long>(
-                    1, std::chrono::duration_cast<
-                           std::chrono::milliseconds>(until -
-                                                      Clock::now())
-                           .count()))));
-}
-
-void
-fillInterrupted(JobResult &result, const char *when)
-{
-    result.outcome = JobOutcome::Interrupted;
-    result.error = ErrorCode::Interrupted;
-    result.diagnostic = std::string("shutdown requested ") + when;
-    result.workerSignal = 0;
-    result.workerExitStatus = 0;
-}
-
 } // namespace
 
 void
@@ -754,7 +726,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
     ScopedLogContext log_context("job " + jobKey(spec));
 
     if (interruptRequested()) {
-        fillInterrupted(result, "before the job started");
+        markInterrupted(result, "before the job started");
         result.attempts = 0;
         return result;
     }
@@ -828,7 +800,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
             // it (forwarded SIGTERM, grace-budget kill), so it is not
             // a verdict: hand the job back as interrupted, never
             // journaled, and let resume settle it.
-            fillInterrupted(result, "while the worker was draining");
+            markInterrupted(result, "while the worker was draining");
             result.attempts = consumed;
             return result;
         }

@@ -1,36 +1,28 @@
 /**
  * @file
- * The serve daemon's admission queue: a bounded MPMC queue between the
- * per-connection reader threads (producers) and the dispatcher pool
- * (consumers).
+ * The serve daemon's admission unit.  Each admitted request rides the
+ * daemon core's bounded task queue (runner/daemon.hh) as one
+ * QueuedRequest, so that queue's contract is the serve contract:
  *
- * Boundedness *is* the backpressure mechanism: push() never blocks and
- * never grows the queue past its capacity -- a full queue refuses with
- * ErrorCode::Overloaded, which the reader turns into a structured
- * rejection reply instead of buffering unbounded work the daemon
- * cannot keep up with.  Each queued item carries the wall-clock
- * deadline attached at admission, so a dispatcher can shed requests
- * that aged out while waiting without spending a worker on them.
- *
- * close() flips the queue into drain mode: pushes fail with
- * Interrupted (readers answer late arrivals themselves), pops keep
- * succeeding until the backlog is empty so the drain logic can reply
- * Interrupted to every queued request, and then pop() returns false
- * forever -- the dispatcher exit condition.
+ *  - Backpressure: push() never blocks and never grows the queue past
+ *    its capacity -- a full queue refuses with ErrorCode::Overloaded,
+ *    which the reader turns into a structured rejection reply instead
+ *    of buffering work the daemon cannot keep up with.
+ *  - Deadlines: each item carries the deadline fixed at admission, so
+ *    a dispatcher sheds requests that aged out while waiting without
+ *    spending a worker on them.
+ *  - Drain: close() refuses further pushes with Interrupted while the
+ *    backlog is still handed out, to be answered `interrupted`.
  */
 
 #ifndef CSCHED_SERVE_REQUEST_QUEUE_HH
 #define CSCHED_SERVE_REQUEST_QUEUE_HH
 
 #include <chrono>
-#include <condition_variable>
-#include <cstddef>
-#include <deque>
 #include <memory>
-#include <mutex>
 
+#include "runner/daemon.hh"
 #include "serve/protocol.hh"
-#include "support/status.hh"
 
 namespace csched {
 
@@ -55,40 +47,8 @@ struct QueuedRequest
     std::chrono::steady_clock::time_point deadline;
 };
 
-/** Bounded MPMC queue; see the file comment for the drain contract. */
-class RequestQueue
-{
-  public:
-    explicit RequestQueue(std::size_t capacity);
-
-    /**
-     * Admit @p item.  Fails with Overloaded when the queue is at
-     * capacity and with Interrupted after close(); never blocks.
-     */
-    Status push(QueuedRequest item);
-
-    /**
-     * Take the oldest item, waiting up to @p timeout_ms.  Returns
-     * false on timeout or when the queue is closed *and* empty (the
-     * consumer's signal to exit -- a closed queue still hands out its
-     * backlog first).
-     */
-    bool pop(QueuedRequest *out, int timeout_ms);
-
-    /** Refuse further pushes and wake every waiting consumer. */
-    void close();
-
-    bool closed() const;
-    std::size_t size() const;
-    std::size_t capacity() const { return capacity_; }
-
-  private:
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::condition_variable ready_;
-    std::deque<QueuedRequest> items_;
-    bool closed_ = false;
-};
+/** The admission queue's semantics over bare requests. */
+using RequestQueue = BoundedQueue<QueuedRequest>;
 
 } // namespace csched
 

@@ -3,12 +3,9 @@
 #include <chrono>
 #include <cstdio>
 
-#include <unistd.h>
-
 #include "eval/experiment.hh"
-#include "runner/shutdown.hh"
+#include "runner/worker.hh"
 #include "support/rng.hh"
-#include "support/socket.hh"
 #include "support/subprocess.hh"
 
 namespace csched {
@@ -32,271 +29,198 @@ elapsedMs(Clock::time_point since, Clock::time_point now)
         .count();
 }
 
+/** The core's shape: --dispatchers executors, --drain-deadline-ms. */
+DaemonConfig
+daemonConfig(const ServeOptions &options)
+{
+    DaemonConfig config;
+    config.name = "csched_serve";
+    config.socketPath = options.socketPath;
+    config.poolSize = options.workers;
+    config.executors = options.dispatchers;
+    config.queueCapacity = options.queueCapacity;
+    config.drainGraceMs = options.drainDeadlineMs;
+    return config;
+}
+
 } // namespace
 
-/** All the ServeStats fields in atomic form. */
-struct Server::Counters
+/**
+ * One accepted connection: the core's Connection plus its fault
+ * scopes, both keyed "serve/conn-<id>".  A queued request holds its
+ * session, so a reply still flushes after the reader exited on client
+ * EOF.  "serve.admit" is hit by the reader alone; "serve.reply" inside
+ * send(), under the write mutex.  A reply Fail rule does NOT drop the
+ * reply -- dropping would break the exactly-one-reply contract the
+ * load harness proves -- it *replaces* the payload with a structured
+ * injected-error response carrying the same request id.  Slow rules
+ * delay the write, exercising the peer's patience.
+ */
+class Session : public Connection
 {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> acceptRejected{0};
-    std::atomic<uint64_t> requestsRead{0};
-    std::atomic<uint64_t> malformedFrames{0};
-    std::atomic<uint64_t> oversizedFrames{0};
-    std::atomic<uint64_t> invalidRequests{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejectedOverloaded{0};
-    std::atomic<uint64_t> shedDeadline{0};
-    std::atomic<uint64_t> interruptedReplies{0};
-    std::atomic<uint64_t> cacheHits{0};
-    std::atomic<uint64_t> coalesced{0};
-    std::atomic<uint64_t> jobsRun{0};
-    std::atomic<uint64_t> workerDeaths{0};
-    std::atomic<uint64_t> healedRetries{0};
-    std::atomic<uint64_t> repliesSent{0};
-    std::atomic<uint64_t> replyWriteFailures{0};
+  public:
+    Session(int fd, uint64_t id, const FaultPlan *faults)
+        : Connection(fd),
+          admitScope(faults, "serve/conn-" + std::to_string(id)),
+          replyScope_(faults, admitScope.key())
+    {
+    }
+
+    /**
+     * Send exactly one reply frame for @p response.  A failed write
+     * (dead or stuck peer) is returned, not retried: the server
+     * records it but cannot fix it.
+     */
+    Status send(const ServeResponse &response, bool timings)
+    {
+        std::lock_guard<std::mutex> lock(writeMutex_);
+        ServeResponse outgoing = response;
+        try {
+            replyScope_.hit("serve.reply");
+        } catch (const StatusError &err) {
+            outgoing.status = errorCodeName(err.status.code());
+            outgoing.result.outcome = JobOutcome::Failed;
+            outgoing.result.error = err.status.code();
+            outgoing.result.diagnostic =
+                "reply fault injected: " + err.status.message();
+        }
+        return writeFrame(fd(), encodeServeResponse(outgoing, timings));
+    }
+
+    FaultScope admitScope;  ///< reader thread only
+
+  private:
+    FaultScope replyScope_;  ///< guarded by writeMutex_
 };
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), queue_(options_.queueCapacity),
-      cache_(options_.cacheCapacity),
-      counters_(std::make_unique<Counters>())
+    : options_(std::move(options)), cache_(options_.cacheCapacity),
+      acceptScope_(options_.faults, "serve/accept"),
+      daemon_(*this, options_, daemonConfig(options_))
 {
-}
-
-Server::~Server()
-{
-    if (started_ && !finished_) {
-        stop_.store(true);
-        (void)drainAndExit();
-    }
-}
-
-Status
-Server::start()
-{
-    // Fork the pool first: workers must not inherit the listen fd,
-    // and WorkerPool wants a single-threaded process.
-    pool_ = std::make_unique<WorkerPool>(options_.workers,
-                                         options_.memLimitMb);
-
-    auto listening = listenUnix(options_.socketPath);
-    if (!listening.ok()) {
-        pool_.reset();
-        return listening.status().withContext("csched_serve");
-    }
-    listenFd_ = *listening;
-
-    activeDispatchers_.store(options_.dispatchers);
-    for (int i = 0; i < options_.dispatchers; ++i)
-        dispatcherThreads_.emplace_back(&Server::dispatcherMain, this);
-
-    started_ = true;
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "[csched_serve] listening on %s (%d workers, %d "
-                     "dispatchers, queue %zu)\n",
-                     options_.socketPath.c_str(), options_.workers,
-                     options_.dispatchers, options_.queueCapacity);
-    return Status();
-}
-
-int
-Server::run()
-{
-    CSCHED_ASSERT(started_, "Server::run() before start()");
-    FaultScope acceptScope(options_.faults, "serve/accept");
-    while (!drainingNow()) {
-        auto client = acceptClient(listenFd_, 50);
-        if (!client.ok()) {
-            if (client.status().code() == ErrorCode::Timeout)
-                continue;  // idle tick; re-check the drain flags
-            CSCHED_WARN("accept failed: ",
-                        client.status().toString());
-            continue;
-        }
-        counters_->connections.fetch_add(1);
-        try {
-            acceptScope.hit("serve.accept");
-        } catch (const StatusError &) {
-            // Simulated accept pressure: close before reading a single
-            // byte, so no request is ever half-owned by the server.
-            ::close(*client);
-            counters_->acceptRejected.fetch_add(1);
-            continue;
-        }
-        auto session = std::make_shared<Session>(
-            *client, ++nextSessionId_, options_.sendTimeoutMs,
-            options_.faults);
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        sessions_.push_back(session);
-        activeReaders_.fetch_add(1);
-        readerThreads_.emplace_back(&Server::readerMain, this,
-                                    session);
-    }
-    return drainAndExit();
-}
-
-void
-Server::stop()
-{
-    stop_.store(true);
 }
 
 bool
-Server::drainingNow() const
+Server::admitConnection()
 {
-    return stop_.load() || drainRequested();
+    counters_.add(&ServeStats::connections);
+    try {
+        acceptScope_.hit("serve.accept");
+    } catch (const StatusError &) {
+        // Simulated accept pressure: closed before reading a single
+        // byte, so no request is ever half-owned by the server.
+        counters_.add(&ServeStats::acceptRejected);
+        return false;
+    }
+    return true;
+}
+
+std::shared_ptr<Connection>
+Server::makeConnection(int fd, uint64_t id)
+{
+    return std::make_shared<Session>(fd, id, options_.faults);
 }
 
 void
-Server::readerMain(std::shared_ptr<Session> session)
+Server::handleBadFrame(Connection &connection, const FrameResult &frame)
 {
-    for (;;) {
-        FrameResult frame =
-            readFrame(session->fd(), 200, options_.maxFrameBytes);
-        if (frame.kind == FrameResult::Kind::Eof)
-            break;
-        if (frame.kind == FrameResult::Kind::Timeout) {
-            // Idle tick.  During a drain the reader keeps serving --
-            // every late request gets an `interrupted` reply and a
-            // well-behaved client closes on seeing one, which is what
-            // ends this loop (EOF).  readersShouldExit_ is the forced
-            // fallback for clients that never close, set only after
-            // the drain deadline.
-            if (readersShouldExit_.load())
-                break;
-            continue;
-        }
-        if (frame.kind == FrameResult::Kind::Oversized) {
-            // Distinct, structured refusal -- then drop the
-            // connection, because the stream is no longer framed (we
-            // did not consume the oversized payload).
-            counters_->oversizedFrames.fetch_add(1);
-            ServeRequest anonymous;
-            sendReply(session,
-                      makeRejection(anonymous,
-                                    Status::invalidSpec(
-                                        "refused request frame: " +
-                                        frame.error)));
-            break;
-        }
-        if (frame.kind == FrameResult::Kind::Malformed) {
-            // Truncation or an I/O error: the peer is gone or
-            // garbling; nothing addressable to reply to.
-            counters_->malformedFrames.fetch_add(1);
-            break;
-        }
+    if (frame.kind == FrameResult::Kind::Oversized) {
+        // Distinct, structured refusal -- then the core drops the
+        // connection, because the stream is no longer framed (the
+        // oversized payload was not consumed).
+        counters_.add(&ServeStats::oversizedFrames);
+        sendReply(static_cast<Session &>(connection),
+                  makeRejection(ServeRequest(),
+                                Status::invalidSpec(
+                                    "refused request frame: " +
+                                    frame.error)));
+        return;
+    }
+    // Truncation or an I/O error: the peer is gone or garbling;
+    // nothing addressable to reply to.
+    counters_.add(&ServeStats::malformedFrames);
+}
 
-        uint64_t salvaged_id = 0;
-        auto decoded = decodeServeRequest(frame.payload, &salvaged_id);
-        if (!decoded.ok()) {
-            counters_->invalidRequests.fetch_add(1);
-            ServeRequest anonymous;
-            anonymous.id = salvaged_id;
-            sendReply(session,
-                      makeRejection(anonymous, decoded.status()));
-            continue;  // framing is intact; keep serving the peer
-        }
-        counters_->requestsRead.fetch_add(1);
-        const ServeRequest &request = *decoded;
+bool
+Server::handleFrame(const std::shared_ptr<Connection> &connection,
+                    std::string payload)
+{
+    auto session = std::static_pointer_cast<Session>(connection);
+    uint64_t salvaged_id = 0;
+    auto decoded = decodeServeRequest(payload, &salvaged_id);
+    if (!decoded.ok()) {
+        counters_.add(&ServeStats::invalidRequests);
+        ServeRequest anonymous;
+        anonymous.id = salvaged_id;
+        sendReply(*session, makeRejection(anonymous, decoded.status()));
+        return true;  // framing is intact; keep serving the peer
+    }
+    counters_.add(&ServeStats::requestsRead);
+    const ServeRequest &request = *decoded;
 
-        // --- Admission control ------------------------------------
-        Status verdict;
-        try {
-            session->admitScope().hit("serve.admit");
-        } catch (const StatusError &err) {
-            verdict = err.status;
-        }
-        if (verdict.ok() && drainingNow())
-            verdict = Status::interrupted(
-                "the daemon is draining; request not admitted");
-        std::string why;
-        if (verdict.ok() && degraded(&why))
-            verdict = Status::overloaded(why);
-        if (verdict.ok()) {
-            QueuedRequest item;
-            item.session = session;
-            item.request = request;
-            item.admitted = Clock::now();
-            const int deadline_ms = request.deadlineMs > 0
-                                        ? request.deadlineMs
-                                        : options_.defaultDeadlineMs;
-            item.deadline =
-                deadline_ms > 0
-                    ? item.admitted +
-                          std::chrono::milliseconds(deadline_ms)
-                    : Clock::time_point::max();
-            verdict = queue_.push(std::move(item));
-            if (verdict.ok())
-                counters_->admitted.fetch_add(1);
-        }
-        if (!verdict.ok()) {
-            if (verdict.code() == ErrorCode::Overloaded)
-                counters_->rejectedOverloaded.fetch_add(1);
-            else if (verdict.code() == ErrorCode::Interrupted)
-                counters_->interruptedReplies.fetch_add(1);
-            sendReply(session, makeRejection(request, verdict));
-        }
+    // --- Admission control ----------------------------------------
+    Status verdict;
+    try {
+        session->admitScope.hit("serve.admit");
+    } catch (const StatusError &err) {
+        verdict = err.status;
     }
-    // The session object stays alive through any queued shared_ptrs;
-    // dropping it from the registry only ends *our* bookkeeping.
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (auto it = sessions_.begin(); it != sessions_.end();
-             ++it) {
-            if (it->get() == session.get()) {
-                sessions_.erase(it);
-                break;
-            }
-        }
+    if (verdict.ok() && daemon_.draining())
+        verdict = Status::interrupted(
+            "the daemon is draining; request not admitted");
+    std::string why;
+    if (verdict.ok() && degraded(&why))
+        verdict = Status::overloaded(why);
+    if (verdict.ok()) {
+        QueuedRequest item;
+        item.session = session;
+        item.request = request;
+        item.admitted = Clock::now();
+        const int deadline_ms = request.deadlineMs > 0
+                                    ? request.deadlineMs
+                                    : options_.defaultDeadlineMs;
+        item.deadline =
+            deadline_ms > 0
+                ? item.admitted + std::chrono::milliseconds(deadline_ms)
+                : Clock::time_point::max();
+        verdict = daemon_.submit(
+            [this, item = std::move(item)](bool drained) mutable {
+                handle(item, drained);
+            });
+        if (verdict.ok())
+            counters_.add(&ServeStats::admitted);
     }
-    {
-        std::lock_guard<std::mutex> lock(readerDoneMutex_);
-        activeReaders_.fetch_sub(1);
+    if (!verdict.ok()) {
+        if (verdict.code() == ErrorCode::Overloaded)
+            counters_.add(&ServeStats::rejectedOverloaded);
+        else if (verdict.code() == ErrorCode::Interrupted)
+            counters_.add(&ServeStats::interruptedReplies);
+        sendReply(*session, makeRejection(request, verdict));
     }
-    readerDone_.notify_all();
+    return true;
 }
 
 void
-Server::dispatcherMain()
-{
-    QueuedRequest item;
-    for (;;) {
-        if (queue_.pop(&item, 200)) {
-            handle(std::move(item));
-            item = QueuedRequest();
-        } else if (queue_.closed()) {
-            break;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(dispatcherDoneMutex_);
-        activeDispatchers_.fetch_sub(1);
-    }
-    dispatcherDone_.notify_all();
-}
-
-void
-Server::handle(QueuedRequest item)
+Server::handle(QueuedRequest &item, bool drained)
 {
     const Clock::time_point now = Clock::now();
     const double queue_ms = elapsedMs(item.admitted, now);
 
     // Still queued when the drain started: answer, don't run.
-    if (drainingNow() && queue_.closed()) {
-        counters_->interruptedReplies.fetch_add(1);
+    if (drained) {
+        counters_.add(&ServeStats::interruptedReplies);
         ServeResponse reply = makeRejection(
             item.request, Status::interrupted(
                               "the daemon drained before this request "
                               "was dispatched"));
         reply.queueMs = queue_ms;
-        sendReply(item.session, reply);
+        sendReply(*item.session, reply);
         return;
     }
 
     // Aged out while queued: shed without spending a worker.
     if (now >= item.deadline) {
-        counters_->shedDeadline.fetch_add(1);
+        counters_.add(&ServeStats::shedDeadline);
         ServeResponse reply = makeRejection(
             item.request,
             Status::timedOut("deadline expired after " +
@@ -304,7 +228,7 @@ Server::handle(QueuedRequest item)
                                  static_cast<long>(queue_ms)) +
                              " ms in the admission queue"));
         reply.queueMs = queue_ms;
-        sendReply(item.session, reply);
+        sendReply(*item.session, reply);
         return;
     }
 
@@ -315,22 +239,22 @@ Server::handle(QueuedRequest item)
 
     ResultCache::Ticket ticket = cache_.begin(key);
     if (ticket.cached) {
-        counters_->cacheHits.fetch_add(1);
+        counters_.add(&ServeStats::cacheHits);
         reply.cached = true;
         reply.result = ticket.result;
     } else if (ticket.coalesced) {
-        counters_->coalesced.fetch_add(1);
+        counters_.add(&ServeStats::coalesced);
         JobResult result;
         if (!ResultCache::waitFollower(ticket.flight, item.deadline,
                                        &result)) {
-            counters_->shedDeadline.fetch_add(1);
+            counters_.add(&ServeStats::shedDeadline);
             ServeResponse shed = makeRejection(
                 item.request,
                 Status::timedOut("deadline expired while coalesced "
                                  "onto an identical in-flight "
                                  "request"));
             shed.queueMs = queue_ms;
-            sendReply(item.session, shed);
+            sendReply(*item.session, shed);
             return;
         }
         reply.coalesced = true;
@@ -354,8 +278,8 @@ Server::handle(QueuedRequest item)
         reply.result.algorithm = item.request.algorithm;
     reply.status = serveStatusOf(reply.result);
     if (reply.result.outcome == JobOutcome::Interrupted)
-        counters_->interruptedReplies.fetch_add(1);
-    sendReply(item.session, reply);
+        counters_.add(&ServeStats::interruptedReplies);
+    sendReply(*item.session, reply);
 }
 
 JobResult
@@ -395,8 +319,8 @@ Server::runLeader(const ServeRequest &request,
             static_cast<int>(remaining > 0 ? remaining : 1);
     }
 
-    counters_->jobsRun.fetch_add(1);
-    result = runJobIsolated(spec, policy, *pool_);
+    counters_.add(&ServeStats::jobsRun);
+    result = runJobIsolated(spec, policy, daemon_.pool());
     noteWorkerHealth(result);
 
     if (result.retriedThenOk()) {
@@ -404,7 +328,7 @@ Server::runLeader(const ServeRequest &request,
         // (job key, attempt), so the delays the supervisor actually
         // slept can be recomputed here for the reply diagnostic
         // without perturbing the result itself.
-        counters_->healedRetries.fetch_add(1);
+        counters_.add(&ServeStats::healedRetries);
         std::string backoffs;
         for (int attempt = 2; attempt <= result.attempts; ++attempt) {
             if (!backoffs.empty())
@@ -442,7 +366,7 @@ Server::noteWorkerHealth(const JobResult &result)
             consecutiveWorkerDeaths_.store(0);
         return;
     }
-    counters_->workerDeaths.fetch_add(1);
+    counters_.add(&ServeStats::workerDeaths);
     const int run = consecutiveWorkerDeaths_.fetch_add(1) + 1;
     if (run < options_.crashLoopThreshold)
         return;
@@ -464,117 +388,20 @@ Server::noteWorkerHealth(const JobResult &result)
 }
 
 void
-Server::sendReply(const std::shared_ptr<Session> &session,
-                  const ServeResponse &response)
+Server::sendReply(Session &session, const ServeResponse &response)
 {
-    const Status sent = session->send(response, options_.timings);
+    const Status sent = session.send(response, options_.timings);
     if (sent.ok())
-        counters_->repliesSent.fetch_add(1);
+        counters_.add(&ServeStats::repliesSent);
     else
-        counters_->replyWriteFailures.fetch_add(1);
-}
-
-int
-Server::drainAndExit()
-{
-    const int signum = interruptSignal();
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "[csched_serve] draining (%s); %zu queued, "
-                     "deadline %d ms\n",
-                     signum != 0 ? "signal" : "stop", queue_.size(),
-                     options_.drainDeadlineMs);
-
-    // 1. No new connections, no new admissions.
-    stop_.store(true);
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        ::unlink(options_.socketPath.c_str());
-        listenFd_ = -1;
-    }
-    queue_.close();
-
-    // 2. In-flight grace: dispatchers finish their current job and
-    //    answer the queued backlog with `interrupted`.
-    {
-        std::unique_lock<std::mutex> lock(dispatcherDoneMutex_);
-        dispatcherDone_.wait_until(
-            lock,
-            Clock::now() +
-                std::chrono::milliseconds(options_.drainDeadlineMs),
-            [this] { return activeDispatchers_.load() == 0; });
-    }
-    if (activeDispatchers_.load() != 0) {
-        // 3. Past the drain deadline: escalate to cooperative
-        //    cancellation -- running jobs unwind at their next
-        //    checkpoint, hung workers are killed by the watchdog.
-        if (options_.verbose)
-            std::fprintf(stderr, "[csched_serve] drain deadline "
-                                 "passed; escalating\n");
-        escalateInterrupt();
-    }
-    for (std::thread &thread : dispatcherThreads_)
-        thread.join();
-    dispatcherThreads_.clear();
-
-    // 4. Every request read so far has its reply written.  Let the
-    //    clients finish the handshake: each gets `interrupted` for
-    //    anything it still sends, sees the drain, and closes -- the
-    //    reader exits on that EOF with nothing lost.  Only clients
-    //    that outstay the drain deadline are force-closed.
-    {
-        std::unique_lock<std::mutex> lock(readerDoneMutex_);
-        readerDone_.wait_until(
-            lock,
-            Clock::now() +
-                std::chrono::milliseconds(options_.drainDeadlineMs),
-            [this] { return activeReaders_.load() == 0; });
-    }
-    if (activeReaders_.load() != 0) {
-        readersShouldExit_.store(true);
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        for (const auto &session : sessions_)
-            session->shutdownRead();
-    }
-    for (std::thread &thread : readerThreads_)
-        thread.join();
-    readerThreads_.clear();
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        sessions_.clear();
-    }
-
-    // 5. Reap the worker processes.
-    pool_.reset();
-    finished_ = true;
-    if (options_.verbose)
-        std::fprintf(stderr, "[csched_serve] drained; exit %d\n",
-                     signum != 0 ? interruptExitCode(signum) : 0);
-    return signum != 0 ? interruptExitCode(signum) : 0;
+        counters_.add(&ServeStats::replyWriteFailures);
 }
 
 ServeStats
 Server::stats() const
 {
-    ServeStats out;
-    out.connections = counters_->connections.load();
-    out.acceptRejected = counters_->acceptRejected.load();
-    out.requestsRead = counters_->requestsRead.load();
-    out.malformedFrames = counters_->malformedFrames.load();
-    out.oversizedFrames = counters_->oversizedFrames.load();
-    out.invalidRequests = counters_->invalidRequests.load();
-    out.admitted = counters_->admitted.load();
-    out.rejectedOverloaded = counters_->rejectedOverloaded.load();
-    out.shedDeadline = counters_->shedDeadline.load();
-    out.interruptedReplies = counters_->interruptedReplies.load();
-    out.cacheHits = counters_->cacheHits.load();
-    out.coalesced = counters_->coalesced.load();
-    out.jobsRun = counters_->jobsRun.load();
-    out.workerDeaths = counters_->workerDeaths.load();
-    out.healedRetries = counters_->healedRetries.load();
+    ServeStats out = counters_.snapshot();
     out.degradeTrips = degradeTrips_.load();
-    out.repliesSent = counters_->repliesSent.load();
-    out.replyWriteFailures = counters_->replyWriteFailures.load();
     return out;
 }
 

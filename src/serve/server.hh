@@ -5,15 +5,16 @@
  * (runner/worker.hh), and returns one structured response per request
  * -- under overload, under worker crashes, and through a drain.
  *
- * Architecture (one process, four kinds of threads):
+ * Architecture: the daemon core (runner/daemon.hh) owns the accept
+ * loop, one reader thread per live connection, the bounded admission
+ * queue, the dispatcher threads (the core's executors, --dispatchers
+ * of them) and the drain sequence.  This front end is the protocol
+ * and the policy on top:
  *
- *   accept loop (run(), caller's thread)
- *     -> reader thread per connection: decode frames, apply admission
- *        control, reply to rejections inline
- *       -> bounded RequestQueue (the backpressure boundary)
- *         -> dispatcher threads: shed aged-out requests, consult the
- *            result cache / single-flight table, run jobs in isolated
- *            workers, reply
+ *   reader: decode frames, apply admission control, reply to
+ *           rejections inline, queue the rest
+ *   dispatcher: shed aged-out requests, consult the result cache /
+ *           single-flight table, run jobs in isolated workers, reply
  *
  * Robustness properties, each with a dedicated mechanism:
  *
@@ -30,9 +31,10 @@
  *    window during which admissions are refused, bounding the blast
  *    radius of a poisoned request stream.
  *  - Graceful drain: SIGINT/SIGTERM/SIGHUP (serve-style handlers,
- *    runner/shutdown.hh) stop admissions, let in-flight jobs finish up
- *    to the drain deadline, answer everything still queued with
- *    `interrupted`, then escalate to cooperative cancellation for
+ *    runner/shutdown.hh) run the core's drain with no front-end step
+ *    and --drain-deadline-ms of grace: stop admissions, let in-flight
+ *    jobs finish up to the deadline, answer everything still queued
+ *    with `interrupted`, then escalate to cooperative cancellation for
  *    stragglers.  Exit code is 128+signum for a signal-driven drain,
  *    0 for a programmatic stop().
  *  - Slow clients: replies are written under SO_SNDTIMEO, so a peer
@@ -44,54 +46,47 @@
  * connection before reading -- simulated accept pressure; safe for the
  * exactly-one-reply proof because nothing was read), "serve.admit" and
  * "serve.reply" in per-connection scopes "serve/conn-<n>" (both always
- * produce a structured reply; see session.hh for the reply rewrite
- * rule).
+ * produce a structured reply; see Session in server.cc for the reply
+ * rewrite rule).
  */
 
 #ifndef CSCHED_SERVE_SERVER_HH
 #define CSCHED_SERVE_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "runner/worker.hh"
+#include "runner/daemon.hh"
 #include "serve/protocol.hh"
 #include "serve/request_queue.hh"
 #include "serve/result_cache.hh"
-#include "serve/session.hh"
 #include "support/fault_injection.hh"
 #include "support/status.hh"
 
 namespace csched {
 
-/** Tunables of one daemon instance. */
-struct ServeOptions
+/**
+ * Tunables of one daemon instance, over the DaemonOptions defaults
+ * workers 2, sendTimeoutMs 2000, maxFrameBytes kServeMaxFrameBytes.
+ */
+struct ServeOptions : DaemonOptions
 {
+    ServeOptions() : DaemonOptions(2, 2000, kServeMaxFrameBytes) {}
+
     std::string socketPath;
-    int workers = 2;            ///< pre-forked worker processes
     int dispatchers = 2;        ///< dispatcher threads
     std::size_t queueCapacity = 64;
     std::size_t cacheCapacity = 128;  ///< 0 disables the result cache
     /** Deadline for requests that do not bring their own; 0 = none. */
     int defaultDeadlineMs = 10000;
     int retries = 1;            ///< per-request retry budget
-    int memLimitMb = 0;         ///< worker RLIMIT_AS cap; 0 = none
-    uint32_t maxFrameBytes = kServeMaxFrameBytes;
-    int sendTimeoutMs = 2000;   ///< SO_SNDTIMEO per reply write
     int drainDeadlineMs = 2000; ///< in-flight grace before escalation
     /** Consecutive worker deaths that trip the degraded window. */
     int crashLoopThreshold = 3;
     int degradeCooldownMs = 1000;
     bool timings = true;        ///< include queueMs in replies
-    bool verbose = false;       ///< lifecycle lines on stderr
-    /** Armed fault plan; nullptr = none.  Borrowed, not owned. */
-    const FaultPlan *faults = nullptr;
 };
 
 /** Monotonic counters; a consistent-enough snapshot via stats(). */
@@ -117,11 +112,10 @@ struct ServeStats
     uint64_t replyWriteFailures = 0;
 };
 
-class Server
+class Server : private DaemonFrontEnd
 {
   public:
     explicit Server(ServeOptions options);
-    ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -132,7 +126,7 @@ class Server
      * here).  The listen socket is bound *after* the fork so workers
      * never inherit it.
      */
-    Status start();
+    Status start() { return daemon_.start(); }
 
     /**
      * Serve until a drain is requested (signal with serve-style
@@ -140,10 +134,10 @@ class Server
      * code: 128+signum for a signal, 0 for stop().  Runs the accept
      * loop on the calling thread.
      */
-    int run();
+    int run() { return daemon_.run(); }
 
     /** Programmatic drain trigger (tests, --max-lifetime drivers). */
-    void stop();
+    void stop() { daemon_.stop(); }
 
     ServeStats stats() const;
     const std::string &socketPath() const
@@ -152,51 +146,36 @@ class Server
     }
 
   private:
-    void readerMain(std::shared_ptr<Session> session);
-    void dispatcherMain();
-    void handle(QueuedRequest item);
+    // DaemonFrontEnd.
+    bool admitConnection() override;
+    std::shared_ptr<Connection> makeConnection(int fd,
+                                               uint64_t id) override;
+    bool handleFrame(const std::shared_ptr<Connection> &connection,
+                     std::string payload) override;
+    void handleBadFrame(Connection &connection,
+                        const FrameResult &frame) override;
+
+    void handle(QueuedRequest &item, bool drained);
     JobResult runLeader(const ServeRequest &request,
                         std::chrono::steady_clock::time_point deadline,
                         std::string *server_note);
     /** Admission gate; fills @p why when refusing. */
     bool degraded(std::string *why) const;
     void noteWorkerHealth(const JobResult &result);
-    bool drainingNow() const;
-    void sendReply(const std::shared_ptr<Session> &session,
-                   const ServeResponse &response);
-    int drainAndExit();
+    void sendReply(Session &session, const ServeResponse &response);
 
     ServeOptions options_;
-    std::unique_ptr<WorkerPool> pool_;
-    RequestQueue queue_;
     ResultCache cache_;
-    int listenFd_ = -1;
-    bool started_ = false;
-    bool finished_ = false;
-
-    std::atomic<bool> stop_{false};
-    std::atomic<bool> readersShouldExit_{false};
-
-    std::vector<std::thread> dispatcherThreads_;
-    std::atomic<int> activeDispatchers_{0};
-    std::mutex dispatcherDoneMutex_;
-    std::condition_variable dispatcherDone_;
-
-    std::mutex sessionsMutex_;
-    std::vector<std::shared_ptr<Session>> sessions_;
-    std::vector<std::thread> readerThreads_;
-    std::atomic<int> activeReaders_{0};
-    std::mutex readerDoneMutex_;
-    std::condition_variable readerDone_;
-    uint64_t nextSessionId_ = 0;
+    FaultScope acceptScope_;  ///< "serve/accept"; accept thread only
 
     /** Crash-loop supervision state. */
     std::atomic<int> consecutiveWorkerDeaths_{0};
     std::atomic<int64_t> degradedUntilMs_{0};  ///< steady-clock ms
     std::atomic<uint64_t> degradeTrips_{0};
 
-    struct Counters;
-    std::unique_ptr<Counters> counters_;
+    DaemonCounters<ServeStats> counters_;
+
+    Daemon daemon_;  ///< last: its destructor drains through the hooks
 };
 
 } // namespace csched

@@ -1,16 +1,15 @@
 /**
  * @file
- * Stream-socket helpers shared by the scheduler-as-a-service daemon
- * (serve/server.hh) and the distributed worker backend
- * (dist/remote_pool.hh, dist/workerd.hh): UNIX-domain endpoints for
- * same-host daemons, TCP endpoints for remote worker fleets.
+ * Stream-socket helpers shared by the daemon core (runner/daemon.hh,
+ * under csched_serve and csched_workerd) and the distributed worker
+ * client (dist/remote_pool.hh): UNIX-domain endpoints for same-host
+ * daemons, TCP endpoints for remote worker fleets.
  *
  * Thin, Status-returning wrappers over the POSIX calls: bind/listen
  * with stale-socket cleanup, poll-bounded accept (so a daemon's
  * accept loop can wake up and notice a drain request), connect with a
- * bounded wait (EINTR-retried throughout), and send/receive-timeout
- * knobs so one stuck peer cannot park a thread in read()/write()
- * forever.  TCP listeners take SO_REUSEADDR (a restarting daemon must
+ * bounded wait (EINTR-retried throughout), and a send-timeout knob
+ * so one stuck peer cannot park a thread in write() forever.  TCP listeners take SO_REUSEADDR (a restarting daemon must
  * not trip over its own TIME_WAIT sockets) and connections take
  * TCP_NODELAY (frames are small request/reply units; Nagle would add
  * round-trip latency to every dispatch).  Stream payloads on top of
@@ -102,14 +101,6 @@ void setSendTimeout(int fd, int ms);
  * interaction.  A no-op on non-TCP fds.
  */
 void setTcpNoDelay(int fd);
-
-/**
- * Bound the time a blocking read on @p fd may wait for a silent peer
- * (SO_RCVTIMEO).  Frame readers that pass their own poll budget to
- * readFrame() do not need this; it is a belt-and-braces backstop for
- * plain read() paths.
- */
-void setRecvTimeout(int fd, int ms);
 
 } // namespace csched
 

@@ -405,6 +405,60 @@ TEST(WorkerdHardening, SurvivesGarbageAndOversizedFrames)
     serving.join();
 }
 
+/** Lines of /proc/@p pid/maps: one per mapping, two per thread stack. */
+size_t
+mapsLines(pid_t pid)
+{
+    std::ifstream maps("/proc/" + std::to_string(pid) + "/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(WorkerdLifetime, SequentialJobsLeaveNoThreadBehind)
+{
+    // Every job used to leave a finished, unjoined thread (its stack
+    // and guard page: two mappings) until the drain.  With a fixed
+    // executor set the daemon's address space stays flat.
+    ForkedWorkerd daemon = forkWorkerd(2);
+    ASSERT_GT(daemon.port, 0);
+    const auto fd = connectTcp("127.0.0.1", daemon.port, 2000);
+    ASSERT_TRUE(fd.ok()) << fd.status().toString();
+    ASSERT_TRUE(writeFrame(*fd, encodeDistHello()).ok());
+    ASSERT_TRUE(readFrame(*fd, 3000, kDistMaxFrameBytes).ok());
+
+    const JobSpec spec = smallJob();
+    auto runOne = [&](uint64_t id) {
+        ASSERT_TRUE(
+            writeFrame(*fd, encodeDistJob(id, spec, JobPolicy(), 0,
+                                          nullptr))
+                .ok());
+        const FrameResult frame =
+            readFrame(*fd, 10000, kDistMaxFrameBytes);
+        ASSERT_TRUE(frame.ok()) << frame.error;
+        const auto decoded = decodeDistMessage(frame.payload);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
+        ASSERT_EQ(decoded->kind, DistMessage::Kind::Result);
+        EXPECT_EQ(decoded->id, id);
+        ASSERT_TRUE(decoded->result.has_value());
+        EXPECT_EQ(decoded->result->outcome, JobOutcome::Ok);
+    };
+    runOne(1);  // warm up: executors and their heaps exist
+    const size_t before = mapsLines(daemon.pid);
+    ASSERT_GT(before, 0u);
+    constexpr uint64_t kJobs = 300;
+    for (uint64_t id = 2; id <= kJobs + 1; ++id) {
+        runOne(id);
+        if (::testing::Test::HasFatalFailure())
+            break;
+    }
+    const size_t after = mapsLines(daemon.pid);
+    ::close(*fd);
+    EXPECT_LT(after, before + kJobs)
+        << "maps grew from " << before << " to " << after << " lines";
+}
+
 // --- End-to-end fleet --------------------------------------------------
 
 TEST(DistFleet, ReportIsByteIdenticalToInProcessAtAnyHostCount)

@@ -6,6 +6,9 @@
 # refuses schedule views that an isolated run cannot keep, reports the
 # same deterministic job fields as csched_bench suite for one cell, and
 # replays an emitted stream trace to the same weighted completion.
+# The two daemons, csched_serve and csched_workerd, share one flag
+# parser: both reject a malformed integer and an unknown option as
+# usage errors and print the same --version report.
 # Used by the tier-2 driver test.
 set -u
 
@@ -16,7 +19,9 @@ fi
 
 cli="$1/csched_cli"
 bench="$1/csched_bench"
-for tool in "$cli" "$bench"; do
+serve="$1/csched_serve"
+workerd="$1/csched_workerd"
+for tool in "$cli" "$bench" "$serve" "$workerd"; do
     if [ ! -x "$tool" ]; then
         echo "driver_check: '$tool' not found or not executable" >&2
         exit 2
@@ -87,6 +92,23 @@ if [ -z "$live" ] || [ "$live" != "$replay" ]; then
          "replay '$replay'" >&2
     failures=$((failures + 1))
 fi
+
+# The daemons' shared flag parser.  Usage errors exit before anything
+# is forked or bound.
+for daemon in "$serve" "$workerd"; do
+    name=$(basename "$daemon")
+    expect 2 "$name --workers 2abc" "$daemon" --workers 2abc
+    expect 2 "$name --bogus" "$daemon" --bogus
+    expect 0 "$name --version" "$daemon" --version
+    if ! grep -q '"schema": *"csched-tool-version-v1"' "$tmp/out" ||
+        ! grep -q "\"tool\": *\"$name\"" "$tmp/out"; then
+        echo "driver_check: $name --version printed no" \
+             "csched-tool-version-v1 report:" >&2
+        sed 's/^/    /' "$tmp/out" >&2
+        failures=$((failures + 1))
+    fi
+done
+expect 2 "csched_serve without --socket" "$serve" --workers 1
 
 if [ "$failures" -ne 0 ]; then
     echo "driver_check: $failures check(s) failed" >&2

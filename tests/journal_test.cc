@@ -138,6 +138,21 @@ TEST(JobJournal, MissingFileIsAnEmptyReplay)
     EXPECT_TRUE(replay->rewriteHeader);
 }
 
+/**
+ * smallGrid over four machines: 16 jobs, more than any thread count
+ * below, the last of them fir/vliw8/convergent.  The pool hands jobs
+ * out in grid order and a task journals its result before its thread
+ * takes the next job, so when the last job starts at least
+ * 16 - threads earlier jobs are already journaled.
+ */
+GridSpec
+interruptGrid(int jobs)
+{
+    GridSpec grid = smallGrid(jobs);
+    grid.machines = {"vliw2", "vliw3", "vliw4", "vliw8"};
+    return grid;
+}
+
 /** Interrupt the grid via the deterministic fault point, journaling
  * what completed, then resume to a byte-identical report. */
 void
@@ -148,14 +163,16 @@ checkInjectedInterruptResume(int interrupted_jobs, int resumed_jobs)
         tempPath("journal-" + std::to_string(interrupted_jobs) + "-" +
                  std::to_string(resumed_jobs) + ".jsonl");
 
-    const auto baseline = runGrid(smallGrid());
+    const auto baseline = runGrid(interruptGrid(2));
     ASSERT_TRUE(baseline.allOk());
 
-    // fir/vliw2/convergent pulls the plug the moment it starts; every
-    // job not yet finished comes back `interrupted`.
+    // The grid's last job pulls the plug the moment it starts; every
+    // job not yet finished comes back `interrupted`.  Interrupting the
+    // last job, not a timing window, is what guarantees the resumed
+    // run replays something.
     const auto plan =
-        mustParse("runner.interrupt=fail:match=fir/vliw2/convergent");
-    auto interrupted = smallGrid(interrupted_jobs);
+        mustParse("runner.interrupt=fail:match=fir/vliw8/convergent");
+    auto interrupted = interruptGrid(interrupted_jobs);
     interrupted.journalPath = path;
     interrupted.faults = &plan;
     const auto partial = runGrid(interrupted);
@@ -170,7 +187,7 @@ checkInjectedInterruptResume(int interrupted_jobs, int resumed_jobs)
               std::string::npos);
 
     clearInterrupt();
-    auto resumed_grid = smallGrid(resumed_jobs);
+    auto resumed_grid = interruptGrid(resumed_jobs);
     resumed_grid.journalPath = path;
     resumed_grid.resume = true;
     const auto resumed = runGrid(resumed_grid);

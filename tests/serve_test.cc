@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -773,6 +774,47 @@ TEST(ServeDaemon, CrashLoopTripsTheBreakerIntoOverloaded)
     EXPECT_EQ(stats.workerDeaths, 2u);
     EXPECT_EQ(stats.degradeTrips, 1u);
     EXPECT_EQ(stats.rejectedOverloaded, 1u);
+    EXPECT_EQ(running.finish(), 0);
+}
+
+/** Lines of /proc/self/maps: one per mapping, two per thread stack. */
+size_t
+selfMapsLines()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(ServeDaemon, SequentialConnectionsLeaveNoThreadBehind)
+{
+    // Every connection used to leave its finished reader thread (a
+    // stack and a guard page: two mappings) unjoined until the drain.
+    // Readers are reaped as they finish, so the process stays flat.
+    InterruptGuard guard;
+    RunningServer running(baseOptions(tempPath("sock")));
+    ASSERT_TRUE(running.startOk);
+
+    auto oneRequest = [&](uint64_t id) {
+        const int fd = connectTo(running.server.socketPath());
+        ASSERT_GE(fd, 0);
+        EXPECT_EQ(roundTrip(fd, makeRequest(id, "vvmul")).status, "ok");
+        ::close(fd);
+    };
+    oneRequest(1);  // warm up: the result is cached from here on
+    const size_t before = selfMapsLines();
+    ASSERT_GT(before, 0u);
+    constexpr uint64_t kConnections = 200;
+    for (uint64_t id = 2; id <= kConnections + 1; ++id) {
+        oneRequest(id);
+        if (::testing::Test::HasFatalFailure())
+            break;
+    }
+    const size_t after = selfMapsLines();
+    EXPECT_LT(after, before + kConnections)
+        << "maps grew from " << before << " to " << after << " lines";
     EXPECT_EQ(running.finish(), 0);
 }
 

@@ -42,11 +42,11 @@
 
 #include <iostream>
 #include <string>
+#include <vector>
 
+#include "runner/daemon.hh"
 #include "runner/shutdown.hh"
 #include "serve/server.hh"
-#include "support/fault_injection.hh"
-#include "support/str.hh"
 #include "tool_version.hh"
 
 namespace {
@@ -77,76 +77,31 @@ int
 main(int argc, char **argv)
 {
     ServeOptions options;
-    FaultPlan fault_plan;
-
-    for (int k = 1; k < argc; ++k) {
-        const std::string arg = argv[k];
-        auto next = [&]() -> std::string {
-            if (k + 1 >= argc)
-                usage(argv[0], arg + " needs a value");
-            return argv[++k];
-        };
-        auto nextInt = [&]() -> int {
-            const std::string text = next();
-            const auto value = parseNonNegativeIntFlag(text);
-            if (!value.has_value())
-                usage(argv[0], arg + " expects a non-negative integer, "
-                                     "got '" + text + "'");
-            return *value;
-        };
-        if (arg == "--version") {
-            return printToolVersion("csched_serve");
-        } else if (arg == "--socket") {
-            options.socketPath = next();
-        } else if (arg == "--workers") {
-            options.workers = nextInt();
-        } else if (arg == "--dispatchers") {
-            options.dispatchers = nextInt();
-        } else if (arg == "--queue") {
-            options.queueCapacity =
-                static_cast<std::size_t>(nextInt());
-        } else if (arg == "--cache") {
-            options.cacheCapacity =
-                static_cast<std::size_t>(nextInt());
-        } else if (arg == "--deadline-ms") {
-            options.defaultDeadlineMs = nextInt();
-        } else if (arg == "--retries") {
-            options.retries = nextInt();
-        } else if (arg == "--mem-limit-mb") {
-            options.memLimitMb = nextInt();
-        } else if (arg == "--max-frame-bytes") {
-            options.maxFrameBytes =
-                static_cast<uint32_t>(nextInt());
-        } else if (arg == "--send-timeout-ms") {
-            options.sendTimeoutMs = nextInt();
-        } else if (arg == "--drain-deadline-ms") {
-            options.drainDeadlineMs = nextInt();
-        } else if (arg == "--crash-loop-threshold") {
-            options.crashLoopThreshold = nextInt();
-        } else if (arg == "--degrade-cooldown-ms") {
-            options.degradeCooldownMs = nextInt();
-        } else if (arg == "--no-timings") {
-            options.timings = false;
-        } else if (arg == "--verbose") {
-            options.verbose = true;
-        } else if (arg == "--inject") {
-            std::string why;
-            auto parsed = FaultPlan::parse(next(), &why);
-            if (!parsed.has_value())
-                usage(argv[0], "--inject: " + why);
-            fault_plan = std::move(*parsed);
-        } else {
-            usage(argv[0], "unknown option '" + arg + "'");
-        }
-    }
+    DaemonFlags flags;
+    const std::vector<DaemonToolFlag> tool_flags = {
+        {"--socket", &options.socketPath},
+        {"--dispatchers", &options.dispatchers},
+        {"--queue", &options.queueCapacity},
+        {"--cache", &options.cacheCapacity},
+        {"--deadline-ms", &options.defaultDeadlineMs},
+        {"--retries", &options.retries},
+        {"--drain-deadline-ms", &options.drainDeadlineMs},
+        {"--crash-loop-threshold", &options.crashLoopThreshold},
+        {"--degrade-cooldown-ms", &options.degradeCooldownMs},
+        {"--no-timings", &options.timings},
+    };
+    std::string why;
+    if (!parseDaemonArgs(std::vector<std::string>(argv + 1, argv + argc),
+                         tool_flags, &options, &flags, &why))
+        usage(argv[0], why);
+    if (flags.version)
+        return printToolVersion("csched_serve");
     if (options.socketPath.empty())
         usage(argv[0], "--socket is required");
     if (options.workers < 1)
         usage(argv[0], "--workers must be >= 1");
     if (options.dispatchers < 1)
         usage(argv[0], "--dispatchers must be >= 1");
-    if (!fault_plan.empty())
-        options.faults = &fault_plan;
 
     // Serve-style drain: the first signal only stops admissions;
     // cancellation is armed later, at the drain deadline.

@@ -22,8 +22,8 @@
  *     --version            print build provenance JSON and exit
  *
  * Signals: the first SIGINT/SIGTERM/SIGHUP drains -- stop admissions,
- * close every connection (clients reassign the lost leases), give
- * in-flight jobs a short cooperative grace -- and exits 128+signum.
+ * close every connection (clients reassign the lost leases), cancel
+ * in-flight jobs cooperatively at once -- and exits 128+signum.
  * Exit codes: 0 after stop(), 1 for runtime failures (bind), 2 for
  * usage errors.  (A hidden --inject RULES option arms the fault
  * harness, including the deterministic workerd.crash point that dies
@@ -33,13 +33,13 @@
 #include <csignal>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include <sys/prctl.h>
 
 #include "dist/workerd.hh"
+#include "runner/daemon.hh"
 #include "runner/shutdown.hh"
-#include "support/fault_injection.hh"
-#include "support/str.hh"
 #include "tool_version.hh"
 
 namespace {
@@ -65,56 +65,22 @@ int
 main(int argc, char **argv)
 {
     WorkerdOptions options;
-    FaultPlan fault_plan;
-
-    for (int k = 1; k < argc; ++k) {
-        const std::string arg = argv[k];
-        auto next = [&]() -> std::string {
-            if (k + 1 >= argc)
-                usage(argv[0], arg + " needs a value");
-            return argv[++k];
-        };
-        auto nextInt = [&]() -> int {
-            const std::string text = next();
-            const auto value = parseNonNegativeIntFlag(text);
-            if (!value.has_value())
-                usage(argv[0], arg + " expects a non-negative integer, "
-                                     "got '" + text + "'");
-            return *value;
-        };
-        if (arg == "--version") {
-            return printToolVersion("csched_workerd");
-        } else if (arg == "--host") {
-            options.host = next();
-        } else if (arg == "--port") {
-            const int port = nextInt();
-            if (port > 65535)
-                usage(argv[0], "--port must be <= 65535");
-            options.port = static_cast<uint16_t>(port);
-        } else if (arg == "--port-file") {
-            options.portFile = next();
-        } else if (arg == "--workers") {
-            options.workers = nextInt();
-        } else if (arg == "--mem-limit-mb") {
-            options.memLimitMb = nextInt();
-        } else if (arg == "--send-timeout-ms") {
-            options.sendTimeoutMs = nextInt();
-        } else if (arg == "--max-frame-bytes") {
-            options.maxFrameBytes = static_cast<uint32_t>(nextInt());
-        } else if (arg == "--verbose") {
-            options.verbose = true;
-        } else if (arg == "--inject") {
-            std::string why;
-            auto parsed = FaultPlan::parse(next(), &why);
-            if (!parsed.has_value())
-                usage(argv[0], "--inject: " + why);
-            fault_plan = std::move(*parsed);
-        } else {
-            usage(argv[0], "unknown option '" + arg + "'");
-        }
-    }
-    if (!fault_plan.empty())
-        options.faults = &fault_plan;
+    DaemonFlags flags;
+    int port = 0;
+    const std::vector<DaemonToolFlag> tool_flags = {
+        {"--host", &options.host},
+        {"--port", &port},
+        {"--port-file", &options.portFile},
+    };
+    std::string why;
+    if (!parseDaemonArgs(std::vector<std::string>(argv + 1, argv + argc),
+                         tool_flags, &options, &flags, &why))
+        usage(argv[0], why);
+    if (flags.version)
+        return printToolVersion("csched_workerd");
+    if (port > 65535)
+        usage(argv[0], "--port must be <= 65535");
+    options.port = static_cast<uint16_t>(port);
 
     // A workerd orphaned by its launching harness must not linger and
     // hold the port (CI forks fleets of these).
