@@ -3,12 +3,12 @@
  * The csched-bench-report-v1 schema: the persistent perf-trajectory
  * record emitted by `csched_bench perf` and gated by tools/ci.sh.
  *
- * Three documents share the schema, distinguished by "kind":
+ * Five documents share the schema, distinguished by "kind":
  *
  *  - "pass-kernels" (BENCH_pass_kernels.json): one cell per
  *    (workload, machine, kernel) where kernel is a convergent pass
  *    name; medianSeconds is the median-of-N wall time of that pass
- *    inside a full pipeline run.
+ *    inside the timed samples of the matching end-to-end cell.
  *  - "end-to-end" (BENCH_end_to_end.json): one cell per
  *    (workload, machine, algorithm); medianSeconds is the median-of-N
  *    wall time of a complete schedule() call (graph construction
@@ -20,17 +20,28 @@
  *    pre-generated arrival stream (stream generation untimed), with
  *    the committed timeline's makespan and instruction count for
  *    context.  The workload field carries the stream spec text.
+ *  - "mesh" (BENCH_mesh.json): per Raw mesh spec (the machine field,
+ *    fault map included) two kernels: "construct" (workload "-"),
+ *    one machine-spec parse with its fault-map materialisation and
+ *    detour tables, and "schedule" (workload "mxm", algorithm "uas"),
+ *    one schedule-and-check run, with its makespan and instruction
+ *    count for context.
+ *  - "dist" (BENCH_dist.json): one fixed grid, its workloads joined
+ *    by '+' in the workload field, timed through the grid runner; the
+ *    kernel field names the execution mode ("isolate" or "dist-2x2")
+ *    and medianSeconds is the median-of-N grid wall time.
  *
  * Document layout (the one spelling every kind shares):
  *
  *   {
  *     "schema": "csched-bench-report-v1",
- *     "kind": "pass-kernels" | "end-to-end" | "online",
+ *     "kind": "pass-kernels" | "end-to-end" | "online" | "mesh" |
+ *             "dist",
  *     "meta": { "commit", "buildType", "compiler", "flags", "host",
  *               "repeats" },
- *     "cells": [ { "workload", "machine", "kernel" | "algorithm",
+ *     "cells": [ { "workload", "machine", "kernel" and/or "algorithm",
  *                  "medianSeconds", "minSeconds", "reps",
- *                  e2e only: "instructions", "makespan",
+ *                  when scheduled: "instructions", "makespan",
  *                  optional: "preRewriteSeconds" } ]
  *   }
  *
@@ -80,15 +91,18 @@ struct BenchCell
 {
     std::string workload;
     std::string machine;
-    /** Pass name for "pass-kernels" documents; empty otherwise. */
+    /**
+     * Pass name for "pass-kernels" documents, the measured step for
+     * "mesh" and the execution mode for "dist"; empty otherwise.
+     */
     std::string kernel;
-    /** Algorithm spec for "end-to-end" documents; empty otherwise. */
+    /** Algorithm or online policy spec of a scheduled cell; else empty. */
     std::string algorithm;
     double medianSeconds = 0.0;
     /** Best-of-N; < 0 when absent (reports written before the field). */
     double minSeconds = -1.0;
     int reps = 0;
-    /** End-to-end context; 0 for pass-kernel cells. */
+    /** Scheduled-cell context; 0 where nothing was scheduled. */
     int instructions = 0;
     int makespan = 0;
     /** Median on the pre-rewrite engine, when annotated; else < 0. */
@@ -101,7 +115,8 @@ struct BenchCell
 /** One complete bench document. */
 struct BenchReport
 {
-    std::string kind;  ///< "pass-kernels", "end-to-end", or "online"
+    /** "pass-kernels", "end-to-end", "online", "mesh", or "dist". */
+    std::string kind;
     BenchMeta meta;
     std::vector<BenchCell> cells;
 };

@@ -1,4 +1,4 @@
-#include "convergent/dense_reference_matrix.hh"
+#include "dense_reference_matrix.hh"
 
 #include <algorithm>
 

@@ -6,6 +6,8 @@
 # refuses schedule views that an isolated run cannot keep, reports the
 # same deterministic job fields as csched_bench suite for one cell, and
 # replays an emitted stream trace to the same weighted completion.
+# csched_bench perf writes its five bench documents and its --check
+# gate finds (or misses) its baselines.
 # The two daemons, csched_serve and csched_workerd, share one flag
 # parser: both reject a malformed integer and an unknown option as
 # usage errors and print the same --version report.
@@ -90,6 +92,80 @@ replay=$(grep -o '"weightedCompletion": [0-9]*' "$tmp/replay.json")
 if [ -z "$live" ] || [ "$live" != "$replay" ]; then
     echo "driver_check: trace replay diverged: live '$live'," \
          "replay '$replay'" >&2
+    failures=$((failures + 1))
+fi
+
+# csched_bench takes a subcommand; bare grid flags are a usage error.
+# perf rejects a --threshold that is not a non-negative number before
+# it measures anything.
+expect 2 "csched_bench --workloads fir" "$bench" --workloads fir
+for threshold in abc -1 inf nan; do
+    expect 2 "csched_bench perf --threshold $threshold" \
+        "$bench" perf --threshold "$threshold"
+done
+
+# One small perf run writes all five documents; the pass-kernel cells
+# come from the convergent end-to-end cell only (uas leaves no trace),
+# one timed sample each.  The documents are written before --check
+# reads its baselines, so a run gated against its own output directory
+# compares every cell with itself and passes.  A missing baseline
+# document fails the gate; that run's threshold is one no timing noise
+# reaches, so it fails on the missing file alone.
+perf_cells="--repeats 1 --cells fir/vliw2,fir/vliw2/uas"
+perf_online="$stream/vliw2/online-sp"
+# shellcheck disable=SC2086
+expect 0 "csched_bench perf --check against its own output" \
+    "$bench" perf $perf_cells --online-cells "$perf_online" \
+    --out-dir "$tmp/perf" --check --baseline-dir "$tmp/perf"
+if [ "$(grep -c '^perf gate: ' "$tmp/out")" -ne 4 ] ||
+    ! grep -q '^perf gate ok$' "$tmp/out"; then
+    echo "driver_check: perf --check did not gate the four gated" \
+         "documents:" >&2
+    sed 's/^/    /' "$tmp/out" >&2
+    failures=$((failures + 1))
+fi
+python3 - "$tmp/perf" <<'EOF_PY' || failures=$((failures + 1))
+import json
+import sys
+
+def fail(why):
+    sys.exit("driver_check: csched_bench perf: " + why)
+
+docs = {}
+for name, kind in [("pass_kernels", "pass-kernels"),
+                   ("end_to_end", "end-to-end"), ("online", "online"),
+                   ("mesh", "mesh"), ("dist", "dist")]:
+    try:
+        with open(sys.argv[1] + "/BENCH_" + name + ".json") as f:
+            docs[name] = json.load(f)
+    except (OSError, ValueError) as error:
+        fail("BENCH_%s.json: %s" % (name, error))
+    if docs[name].get("kind") != kind:
+        fail("BENCH_%s.json has kind %r" % (name, docs[name].get("kind")))
+e2e = [(c["workload"], c["machine"], c.get("algorithm"))
+       for c in docs["end_to_end"]["cells"]]
+if e2e != [("fir", "vliw2", "convergent"), ("fir", "vliw2", "uas")]:
+    fail("end-to-end cells %r" % e2e)
+kernels = docs["pass_kernels"]["cells"]
+names = [c.get("kernel") for c in kernels]
+if not kernels or len(set(names)) != len(names) or any(
+        (c["workload"], c["machine"], c["reps"]) != ("fir", "vliw2", 1)
+        or "algorithm" in c for c in kernels):
+    fail("pass-kernel cells are not one set for fir/vliw2/convergent "
+         "with reps 1: %r" % kernels)
+EOF_PY
+mkdir "$tmp/perf-nodist"
+cp "$tmp/perf"/BENCH_*.json "$tmp/perf-nodist/"
+rm "$tmp/perf-nodist/BENCH_dist.json"
+# shellcheck disable=SC2086
+expect 1 "csched_bench perf --check without BENCH_dist.json" \
+    "$bench" perf $perf_cells --online-cells "$perf_online" \
+    --out-dir "$tmp/perf-again" --check --baseline-dir "$tmp/perf-nodist" \
+    --threshold 1000000
+if ! grep -q "cannot read .*BENCH_dist.json" "$tmp/out"; then
+    echo "driver_check: perf --check did not name the missing" \
+         "BENCH_dist.json baseline" >&2
+    sed 's/^/    /' "$tmp/out" >&2
     failures=$((failures + 1))
 fi
 

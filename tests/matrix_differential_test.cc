@@ -21,7 +21,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "convergent/dense_reference_matrix.hh"
+#include "dense_reference_matrix.hh"
 #include "convergent/preference_matrix.hh"
 #include "support/rng.hh"
 

@@ -82,11 +82,11 @@ kill_resume_smoke() {
                 --algorithms uas,convergent --jobs 2 --quiet
                 --no-timings)
 
-    "${bench}" "${args[@]}" --json "${tmp}/base.json"
+    "${bench}" suite "${args[@]}" --json "${tmp}/base.json"
 
     # Slow every job so SIGTERM lands mid-grid; the run must drain,
     # journal what finished, and exit 128+15.
-    "${bench}" "${args[@]}" --json "${tmp}/partial.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/partial.json" \
         --journal "${tmp}/journal.jsonl" \
         --inject 'runner.job.start=slow:ms=200' &
     local pid=$!
@@ -104,7 +104,7 @@ kill_resume_smoke() {
         exit 1
     }
 
-    "${bench}" "${args[@]}" --json "${tmp}/final.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/final.json" \
         --journal "${tmp}/journal.jsonl" --resume
     diff "${tmp}/base.json" "${tmp}/final.json" || {
         echo "kill-and-resume: resumed report differs from an" \
@@ -118,7 +118,7 @@ kill_resume_smoke() {
 # Perf regression gate: re-measure the quick cell set in the optimised
 # build and compare against the checked-in BENCH_*.json baselines at
 # the repo root (csched-bench-report-v1; see DESIGN.md s10).  The gate
-# fails on a >15% median slowdown in any cell and prints the
+# fails on a >15% best-of-N slowdown in any cell and prints the
 # per-kernel delta table.  Single-core timer noise at 3 repeats stays
 # well inside that margin; re-baseline with `csched_bench perf` when a
 # deliberate perf change moves the needle.
@@ -144,7 +144,7 @@ containment_smoke() {
     local tmp
     tmp="$(mktemp -d)"
     local code=0
-    "${bench}" --workloads vvmul,fir --machines vliw2 \
+    "${bench}" suite --workloads vvmul,fir --machines vliw2 \
         --algorithms uas,convergent --jobs 4 --quiet --no-timings \
         --isolate --deadline-ms 2000 --json "${tmp}/report.json" \
         --inject 'worker.crash=fail:match=fir/vliw2/uas;worker.hang=fail:match=vvmul/vliw2/convergent' \
@@ -188,8 +188,8 @@ online_replay_smoke() {
                 --algorithms online-convergent,online-pcc
                 --quiet --no-timings)
 
-    "${bench}" "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
-    "${bench}" "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
+    "${bench}" suite "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
     diff "${tmp}/serial.json" "${tmp}/parallel.json" || {
         echo "online smoke: report depends on --jobs" >&2
         exit 1
@@ -237,9 +237,9 @@ degraded_grid_smoke() {
                 --machines 'raw4x4,raw4x4/faults=seed:7,tiles:12%,links:5%,slow:12%'
                 --algorithms uas,convergent,pcc,rawcc
                 --quiet --no-timings)
-    "${bench}" "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
-    "${bench}" "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
-    "${bench}" "${args[@]}" --jobs 4 --isolate \
+    "${bench}" suite "${args[@]}" --jobs 1 --json "${tmp}/serial.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --json "${tmp}/parallel.json"
+    "${bench}" suite "${args[@]}" --jobs 4 --isolate \
         --json "${tmp}/isolated.json"
     diff "${tmp}/serial.json" "${tmp}/parallel.json" || {
         echo "degraded smoke: report depends on --jobs" >&2
@@ -362,7 +362,7 @@ dist_smoke() {
                 --algorithms uas,convergent --jobs 4 --quiet
                 --no-timings)
 
-    "${bench}" "${args[@]}" --json "${tmp}/base.json"
+    "${bench}" suite "${args[@]}" --json "${tmp}/base.json"
 
     # The port-file handshake: ephemeral ports, discovered once the
     # daemon is actually listening.  The unique --port-file path also
@@ -384,7 +384,7 @@ dist_smoke() {
     # Slow the jobs so the SIGKILL lands mid-grid, partition one cell's
     # first dispatch, and shrink the liveness/reconnect knobs so the
     # healing happens inside smoke-test time.
-    "${bench}" "${args[@]}" --json "${tmp}/dist.json" \
+    "${bench}" suite "${args[@]}" --json "${tmp}/dist.json" \
         --hosts "${hosts}" \
         --dist-opts 'liveness-timeout-ms=800,heartbeat-interval-ms=100,reconnect-base-ms=20,partition-ms=300' \
         --inject 'runner.job.start=slow:ms=150;net.partition=fail:nth=1:match=fir/*' &

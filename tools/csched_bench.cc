@@ -76,11 +76,13 @@
  *                           BENCH_end_to_end.json, BENCH_online.json,
  *                           BENCH_mesh.json, and BENCH_dist.json are
  *                           written (default ".")
- *     --repeats N           samples per cell, median-of-N (default 5)
+ *     --repeats N           timed samples per cell, median-of-N
+ *                           (default 5), after one untimed warm-up
  *     --quick               repeats 3 and the small cell set; the
  *                           ci.sh perf gate uses this
- *     --cells W/M[/ALG],... override the end-to-end cell list
- *     --kernel-cells W/M,.. override the pass-kernel cell list
+ *     --cells W/M[/ALG],... override the end-to-end cell list; the
+ *                           pass-kernel cells are read off the traces
+ *                           of its convergent cells' timed samples
  *     --online-cells S/M/P,..
  *                           override the online cell list (stream
  *                           spec / machine / online policy)
@@ -89,6 +91,14 @@
  *                           exit 1 on >threshold slowdown; prints the
  *                           per-kernel delta table as the diagnostic
  *                           on failure
+ *     --baseline-dir DIR    where --check finds the baseline
+ *                           (default: the repository checkout, ".")
+ *     --threshold PCT       --check slowdown gate, a non-negative
+ *                           number (default 15)
+ *     --annotate-pre-rewrite FILE
+ *                           attach the medians of FILE (an end-to-end
+ *                           bench report measured on the pre-rewrite
+ *                           engine) as preRewriteSeconds
  *
  * The mesh cells time the degraded-machine hot paths on a 32x32 Raw
  * mesh, fault-free and 10% degraded: machine construction (fault-map
@@ -97,16 +107,6 @@
  * two localhost csched_workerd daemons and time a small fixed grid
  * through them against the same grid under --isolate, so the
  * remote-dispatch overhead is a gated number, not a guess.
- *     --baseline-dir DIR    where --check finds the baseline
- *                           (default: the repository checkout, ".")
- *     --threshold PCT       --check slowdown gate (default 15)
- *     --annotate-pre-rewrite FILE
- *                           attach the medians of FILE (an end-to-end
- *                           bench report measured on the pre-rewrite
- *                           engine) as preRewriteSeconds
- *
- * Invoking csched_bench with grid flags but no subcommand keeps
- * working as `suite` for one release (compatibility shim).
  */
 
 #include <sys/prctl.h>
@@ -119,7 +119,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -169,8 +172,7 @@ usage(const char *argv0, const std::string &why = "")
         << "    [--hosts CSV] [--keep-going] [--quiet]\n"
         << "  perf [--out-dir DIR] [--repeats N] [--quick]"
         << " [--cells W/M,..]\n"
-        << "    [--kernel-cells W/M,..] [--online-cells S/M/P,..]"
-        << " [--check]\n"
+        << "    [--online-cells S/M/P,..] [--check]\n"
         << "    [--baseline-dir DIR] [--threshold PCT]"
         << " [--annotate-pre-rewrite FILE]\n"
         << "  list\n";
@@ -340,15 +342,22 @@ parsePerfCells(const char *argv0, const std::string &text)
     return cells;
 }
 
-std::optional<std::string>
-readWholeFile(const std::string &path)
+/** Read and parse the bench report at @p path; diagnosed on failure. */
+std::optional<BenchReport>
+loadBenchReport(const char *argv0, const std::string &path)
 {
     std::ifstream in(path);
-    if (!in)
+    if (!in) {
+        std::cerr << argv0 << ": cannot read " << path << "\n";
         return std::nullopt;
+    }
     std::ostringstream text;
     text << in.rdbuf();
-    return text.str();
+    std::string error;
+    auto report = parseBenchReport(text.str(), &error);
+    if (!report.has_value())
+        std::cerr << argv0 << ": " << path << ": " << error << "\n";
+    return report;
 }
 
 BenchMeta
@@ -435,12 +444,12 @@ spawnPerfWorkerd(int workers)
 }
 
 void
-reapWorkerd(const WorkerdChild &child)
+reapWorkerd(const std::optional<WorkerdChild> &child)
 {
-    if (child.pid <= 0)
+    if (!child.has_value())
         return;
-    ::kill(child.pid, SIGTERM);
-    ::waitpid(child.pid, nullptr, 0);
+    ::kill(child->pid, SIGTERM);
+    ::waitpid(child->pid, nullptr, 0);
 }
 
 /**
@@ -462,6 +471,87 @@ kernelNames(const std::vector<PassStep> &trace)
     return names;
 }
 
+/** A cell keyed by workload, machine and kernel or algorithm. */
+BenchCell
+benchCell(const std::string &workload, const std::string &machine,
+          const std::string &kernel, const std::string &algorithm = "")
+{
+    BenchCell cell;
+    cell.workload = workload;
+    cell.machine = machine;
+    cell.kernel = kernel;
+    cell.algorithm = algorithm;
+    return cell;
+}
+
+/** What one call returned and the wall seconds it took. */
+template <typename T>
+struct Timed
+{
+    T value;
+    double seconds;
+};
+
+template <typename Run>
+auto
+timed(Run &&run) -> Timed<decltype(run())>
+{
+    const auto begin = std::chrono::steady_clock::now();
+    auto value = run();
+    const auto end = std::chrono::steady_clock::now();
+    return {std::move(value),
+            std::chrono::duration<double>(end - begin).count()};
+}
+
+/** Set @p cell's median, best-of-N and reps from its samples. */
+void
+setSamples(BenchCell *cell, const std::vector<double> &seconds)
+{
+    cell->medianSeconds = median(seconds);
+    cell->minSeconds = *std::min_element(seconds.begin(), seconds.end());
+    cell->reps = static_cast<int>(seconds.size());
+}
+
+/**
+ * The one measurement step of every perf cell: one untimed warm-up
+ * call of @p sample, then @p repeats timed calls.  @p sample runs the
+ * cell once and returns the seconds it took, or the error that stopped
+ * it (diagnosed here; returns false).
+ */
+bool
+measureCell(const char *argv0, int repeats, BenchCell *cell,
+            const std::function<StatusOr<double>()> &sample)
+{
+    std::vector<double> seconds;
+    for (int rep = 0; rep <= repeats; ++rep) {
+        const StatusOr<double> took = sample();
+        if (!took.ok()) {
+            std::cerr << argv0 << ": perf cell " << cell->key() << ": "
+                      << took.status().toString() << "\n";
+            return false;
+        }
+        if (rep > 0)  // rep 0 is the warm-up
+            seconds.push_back(*took);
+    }
+    setSamples(cell, seconds);
+    std::cerr << "perf: " << cell->key() << " median "
+              << formatDouble(cell->medianSeconds * 1e3, 2) << " ms over "
+              << repeats << " reps\n";
+    return true;
+}
+
+/** The five documents of a perf run, in the order they are written. */
+enum PerfKind { kPassKernels, kEndToEnd, kOnline, kMesh, kDist };
+
+struct PerfDocument
+{
+    const char *file;
+    /** --check compares it against its baseline; the pass kernels are
+     *  only the diagnostic of a failed gate. */
+    bool gated;
+    BenchReport report;
+};
+
 int
 runPerf(const char *argv0, const std::vector<std::string> &args)
 {
@@ -473,7 +563,6 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     bool check = false;
     double threshold = 15.0;
     std::string cells_arg;
-    std::string kernel_cells_arg;
     std::string online_cells_arg;
 
     for (size_t k = 0; k < args.size(); ++k) {
@@ -497,11 +586,14 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--threshold") {
-            threshold = std::stod(next());
+            const std::string text = next();
+            char *end = nullptr;
+            threshold = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0' || !std::isfinite(threshold) ||
+                threshold < 0.0)
+                usage(argv0, "--threshold must be a non-negative number");
         } else if (arg == "--cells") {
             cells_arg = next();
-        } else if (arg == "--kernel-cells") {
-            kernel_cells_arg = next();
         } else if (arg == "--online-cells") {
             online_cells_arg = next();
         } else if (arg == "--annotate-pre-rewrite") {
@@ -524,11 +616,6 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         {"cholesky", "vliw4", "convergent"},
         {"sha", "raw4", "convergent"},
     };
-    std::vector<PerfCell> kernel_cells = {
-        {"synth-wide-10k", "vliw4", "convergent"},
-        {"synth-narrow-2k", "raw4", "convergent"},
-        {"mxm", "vliw4", "convergent"},
-    };
     // Online cells measure the whole commit loop -- admission,
     // per-region planning, and (for plan-ahead) preempt-and-recommit
     // -- over a deterministic arrival stream.  Stream specs are '+'
@@ -544,377 +631,205 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
     if (quick) {
         e2e_cells = {{"synth-wide-10k", "vliw4", "convergent"},
                      {"synth-narrow-2k", "raw4", "convergent"}};
-        kernel_cells = {{"synth-wide-10k", "vliw4", "convergent"}};
         online_cells = {{perf_stream, "vliw4", "online-convergent"}};
     }
     if (!cells_arg.empty())
         e2e_cells = parsePerfCells(argv0, cells_arg);
-    if (!kernel_cells_arg.empty())
-        kernel_cells = parsePerfCells(argv0, kernel_cells_arg);
     if (!online_cells_arg.empty())
         online_cells = parsePerfCells(argv0, online_cells_arg);
 
-    BenchReport kernels_report;
-    kernels_report.kind = "pass-kernels";
-    kernels_report.meta = collectMeta(repeats);
-    BenchReport e2e_report;
-    e2e_report.kind = "end-to-end";
-    e2e_report.meta = collectMeta(repeats);
-    BenchReport online_report;
-    online_report.kind = "online";
-    online_report.meta = collectMeta(repeats);
-    BenchReport mesh_report;
-    mesh_report.kind = "mesh";
-    mesh_report.meta = collectMeta(repeats);
-    BenchReport dist_report;
-    dist_report.kind = "dist";
-    dist_report.meta = collectMeta(repeats);
-
-    auto prepare = [&](const PerfCell &cell,
-                       std::unique_ptr<MachineModel> *machine,
-                       std::unique_ptr<SchedulingAlgorithm> *algorithm)
-        -> DependenceGraph {
-        std::string error;
-        *machine = parseMachineSpec(cell.machine, &error);
-        if (*machine == nullptr)
-            usage(argv0, error);
-        const auto spec = parseAlgorithmSpec(cell.algorithm, &error);
-        if (!spec.has_value())
-            usage(argv0, error);
-        *algorithm = makeAlgorithm(*spec, **machine);
-        const WorkloadSpec *workload = tryFindWorkload(cell.workload);
-        if (workload == nullptr)
-            usage(argv0, "unknown workload '" + cell.workload + "'");
-        const int clusters = (*machine)->numClusters();
-        return workload->build(clusters, clusters);
+    const BenchMeta meta = collectMeta(repeats);
+    std::vector<PerfDocument> docs = {
+        {"BENCH_pass_kernels.json", false, {"pass-kernels", meta, {}}},
+        {"BENCH_end_to_end.json", true, {"end-to-end", meta, {}}},
+        {"BENCH_online.json", true, {"online", meta, {}}},
+        {"BENCH_mesh.json", true, {"mesh", meta, {}}},
+        {"BENCH_dist.json", true, {"dist", meta, {}}},
     };
 
-    // End-to-end cells: median-of-N wall time of a full schedule()
-    // call; one untimed warm-up run per cell.
-    for (const auto &cell : e2e_cells) {
-        std::unique_ptr<MachineModel> machine;
-        std::unique_ptr<SchedulingAlgorithm> algorithm;
-        const DependenceGraph graph =
-            prepare(cell, &machine, &algorithm);
-        (void)algorithm->run(graph); // warm-up, untimed
-        std::vector<double> seconds;
-        int makespan = 0;
-        for (int rep = 0; rep < repeats; ++rep) {
-            const auto begin = std::chrono::steady_clock::now();
-            const ScheduleResult result = algorithm->run(graph);
-            const auto end = std::chrono::steady_clock::now();
-            seconds.push_back(
-                std::chrono::duration<double>(end - begin).count());
-            makespan = result.schedule.makespan();
-        }
-        BenchCell out;
-        out.workload = cell.workload;
-        out.machine = cell.machine;
-        out.algorithm = cell.algorithm;
-        out.medianSeconds = median(seconds);
-        out.minSeconds =
-            *std::min_element(seconds.begin(), seconds.end());
-        out.reps = repeats;
-        out.instructions = graph.numInstructions();
-        out.makespan = makespan;
-        e2e_report.cells.push_back(out);
-        std::cerr << "perf: " << out.key() << " median "
-                  << formatDouble(out.medianSeconds * 1e3, 2)
-                  << " ms over " << repeats << " reps\n";
-    }
-
-    // Pass-kernel cells: per-pass wall times from the pipeline trace,
-    // median-of-N per trace position.
-    for (const auto &cell : kernel_cells) {
-        std::unique_ptr<MachineModel> machine;
-        std::unique_ptr<SchedulingAlgorithm> algorithm;
-        const DependenceGraph graph =
-            prepare(cell, &machine, &algorithm);
-        std::vector<std::string> names;
-        std::vector<std::vector<double>> samples;
-        for (int rep = 0; rep < repeats; ++rep) {
-            const ScheduleResult result = algorithm->run(graph);
-            if (names.empty()) {
-                names = kernelNames(result.trace);
-                samples.resize(names.size());
-            }
-            for (size_t k = 0;
-                 k < result.trace.size() && k < samples.size(); ++k)
-                samples[k].push_back(result.trace[k].seconds);
-        }
-        for (size_t k = 0; k < names.size(); ++k) {
-            BenchCell out;
-            out.workload = cell.workload;
-            out.machine = cell.machine;
-            out.kernel = names[k];
-            out.medianSeconds = median(samples[k]);
-            out.minSeconds = *std::min_element(samples[k].begin(),
-                                               samples[k].end());
-            out.reps = repeats;
-            kernels_report.cells.push_back(out);
-        }
-        std::cerr << "perf: " << cell.workload << "/" << cell.machine
-                  << " pass kernels measured (" << names.size()
-                  << " passes x " << repeats << " reps)\n";
-    }
-
-    // Online cells: median-of-N wall time of one full runOnline()
-    // commit loop over a pre-generated arrival stream (generation is
-    // untimed -- the stream is the fixture, the loop is the engine).
-    for (const auto &cell : online_cells) {
+    // End-to-end cells: a full schedule() call.  The traces of its
+    // timed samples give the pass-kernel cells, one per position in
+    // the pipeline; only convergent runs leave a trace.
+    for (const auto &spec : e2e_cells) {
         std::string error;
-        const auto machine = parseMachineSpec(cell.machine, &error);
+        const auto machine = parseMachineSpec(spec.machine, &error);
         if (machine == nullptr)
             usage(argv0, error);
-        const auto stream = parseStreamSpec(cell.workload, &error);
+        const auto algorithm_spec =
+            parseAlgorithmSpec(spec.algorithm, &error);
+        if (!algorithm_spec.has_value())
+            usage(argv0, error);
+        const WorkloadSpec *workload = tryFindWorkload(spec.workload);
+        if (workload == nullptr)
+            usage(argv0, "unknown workload '" + spec.workload + "'");
+        const auto algorithm = makeAlgorithm(*algorithm_spec, *machine);
+        const int clusters = machine->numClusters();
+        const DependenceGraph graph = workload->build(clusters, clusters);
+
+        BenchCell cell =
+            benchCell(spec.workload, spec.machine, "", spec.algorithm);
+        cell.instructions = graph.numInstructions();
+        std::vector<std::vector<PassStep>> traces;
+        auto schedule_once = [&]() -> StatusOr<double> {
+            auto run = timed([&] { return algorithm->run(graph); });
+            cell.makespan = run.value.schedule.makespan();
+            traces.push_back(std::move(run.value.trace));
+            return run.seconds;
+        };
+        if (!measureCell(argv0, repeats, &cell, schedule_once))
+            return 1;
+        docs[kEndToEnd].report.cells.push_back(cell);
+        const auto names = kernelNames(traces.back());
+        for (size_t k = 0; k < names.size(); ++k) {
+            BenchCell kernel =
+                benchCell(spec.workload, spec.machine, names[k]);
+            std::vector<double> seconds;
+            for (size_t rep = 1; rep < traces.size(); ++rep)
+                seconds.push_back(traces[rep][k].seconds);  // [0]: warm-up
+            setSamples(&kernel, seconds);
+            docs[kPassKernels].report.cells.push_back(kernel);
+        }
+    }
+
+    // Online cells: one full runOnline() commit loop over a
+    // pre-generated arrival stream (generation is untimed -- the
+    // stream is the fixture, the loop is the engine).
+    for (const auto &spec : online_cells) {
+        std::string error;
+        const auto machine = parseMachineSpec(spec.machine, &error);
+        if (machine == nullptr)
+            usage(argv0, error);
+        const auto stream = parseStreamSpec(spec.workload, &error);
         if (!stream.has_value())
             usage(argv0, error);
-        const auto policy = parseOnlinePolicy(cell.algorithm, &error);
+        const auto policy = parseOnlinePolicy(spec.algorithm, &error);
         if (!policy.has_value())
             usage(argv0, error);
         const auto arrivals = generateArrivals(*stream);
         if (!arrivals.ok())
             usage(argv0, arrivals.status().toString());
 
-        OnlineMetrics metrics;
-        std::vector<double> seconds;
-        for (int rep = 0; rep <= repeats; ++rep) {
-            const auto begin = std::chrono::steady_clock::now();
-            const auto run = runOnline(*machine, *policy, *arrivals);
-            const auto end = std::chrono::steady_clock::now();
-            if (!run.ok()) {
-                std::cerr << argv0 << ": online cell " << cell.workload
-                          << "/" << cell.machine << "/"
-                          << cell.algorithm << ": "
-                          << run.status().toString() << "\n";
-                return 1;
-            }
-            if (rep == 0)
-                continue;  // warm-up, untimed
-            seconds.push_back(
-                std::chrono::duration<double>(end - begin).count());
-            metrics = computeOnlineMetrics(run->commits);
-        }
-        BenchCell out;
-        out.workload = cell.workload;
-        out.machine = cell.machine;
-        out.algorithm = cell.algorithm;
-        out.medianSeconds = median(seconds);
-        out.minSeconds =
-            *std::min_element(seconds.begin(), seconds.end());
-        out.reps = repeats;
-        out.instructions = metrics.instructions;
-        out.makespan = metrics.makespan;
-        online_report.cells.push_back(out);
-        std::cerr << "perf: " << out.key() << " median "
-                  << formatDouble(out.medianSeconds * 1e3, 2)
-                  << " ms over " << repeats << " reps ("
-                  << metrics.regions << " regions)\n";
+        BenchCell cell =
+            benchCell(spec.workload, spec.machine, "", spec.algorithm);
+        auto commit_once = [&]() -> StatusOr<double> {
+            auto run = timed(
+                [&] { return runOnline(*machine, *policy, *arrivals); });
+            if (!run.value.ok())
+                return run.value.status();
+            const auto metrics = computeOnlineMetrics(run.value->commits);
+            cell.instructions = metrics.instructions;
+            cell.makespan = metrics.makespan;
+            return run.seconds;
+        };
+        if (!measureCell(argv0, repeats, &cell, commit_once))
+            return 1;
+        docs[kOnline].report.cells.push_back(cell);
     }
 
-    // Mesh cells: the degraded-machine hot paths on a 32x32 mesh.
-    // Per machine (fault-free and 10% degraded), two kernels:
-    // "construct" is one tryParseMachineSpec call (fault-map
-    // materialisation plus the per-destination detour-table BFS on
-    // 1024 tiles), "schedule" is one tryRunAndCheck call (the
-    // fault-aware router inside scheduling and the dead-resource
-    // checker rules).  The cell set is fixed so quick and full runs
-    // join against the same baseline keys.
-    {
-        const std::string mesh_workload = "mxm";
-        const std::vector<std::string> mesh_machines = {
-            "raw32x32", "raw32x32/faults=seed:1,tiles:10%,links:3%"};
-        for (const auto &machine_spec : mesh_machines) {
-            std::vector<double> construct_seconds;
-            std::unique_ptr<MachineModel> machine;
-            for (int rep = 0; rep <= repeats; ++rep) {
-                const auto begin = std::chrono::steady_clock::now();
-                auto built = tryParseMachineSpec(machine_spec);
-                const auto end = std::chrono::steady_clock::now();
-                if (!built.ok()) {
-                    std::cerr << argv0 << ": mesh cell " << machine_spec
-                              << ": " << built.status().toString()
-                              << "\n";
-                    return 1;
-                }
-                machine = std::move(*built);
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                construct_seconds.push_back(
-                    std::chrono::duration<double>(end - begin)
-                        .count());
-            }
-            BenchCell construct;
-            construct.workload = "-";
-            construct.machine = machine_spec;
-            construct.kernel = "construct";
-            construct.medianSeconds = median(construct_seconds);
-            construct.minSeconds =
-                *std::min_element(construct_seconds.begin(),
-                                  construct_seconds.end());
-            construct.reps = repeats;
-            mesh_report.cells.push_back(construct);
+    // Mesh cells: the degraded-machine hot paths on a 32x32 mesh,
+    // fault-free and 10% degraded.  "construct" is one
+    // tryParseMachineSpec call (fault-map materialisation plus the
+    // per-destination detour-table BFS on 1024 tiles), "schedule" is
+    // one tryRunAndCheck call of UAS on mxm (the fault-aware router
+    // inside scheduling and the dead-resource checker rules).  The
+    // cell set is fixed so quick and full runs join against the same
+    // baseline keys.
+    for (const std::string machine_spec :
+         {"raw32x32", "raw32x32/faults=seed:1,tiles:10%,links:3%"}) {
+        std::unique_ptr<MachineModel> machine;
+        auto construct_once = [&]() -> StatusOr<double> {
+            auto built =
+                timed([&] { return tryParseMachineSpec(machine_spec); });
+            if (!built.value.ok())
+                return built.value.status();
+            machine = std::move(*built.value);
+            return built.seconds;
+        };
+        BenchCell construct = benchCell("-", machine_spec, "construct");
+        if (!measureCell(argv0, repeats, &construct, construct_once))
+            return 1;
+        docs[kMesh].report.cells.push_back(construct);
 
-            std::string error;
-            const auto spec = parseAlgorithmSpec("uas", &error);
-            if (!spec.has_value())
-                usage(argv0, error);
-            const auto algorithm = makeAlgorithm(*spec, *machine);
-            const WorkloadSpec *workload =
-                tryFindWorkload(mesh_workload);
-            if (workload == nullptr)
-                usage(argv0,
-                      "unknown workload '" + mesh_workload + "'");
-            // Fixed bank count: mxm's size scales with banks, and the
-            // cell measures routing on 1024 tiles, not a 65k-instr
-            // graph.  Preplacement still spreads over the whole mesh.
-            DependenceGraph graph =
-                workload->build(16, machine->numClusters());
-            remapPreplacedForMachine(graph, *machine);
-            std::vector<double> schedule_seconds;
-            int makespan = 0;
-            for (int rep = 0; rep <= repeats; ++rep) {
-                const auto begin = std::chrono::steady_clock::now();
-                const auto run =
-                    tryRunAndCheck(*algorithm, graph, *machine);
-                const auto end = std::chrono::steady_clock::now();
-                if (!run.ok()) {
-                    std::cerr << argv0 << ": mesh cell "
-                              << mesh_workload << "/" << machine_spec
-                              << ": " << run.status().toString()
-                              << "\n";
-                    return 1;
-                }
-                makespan = run->makespan;
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                schedule_seconds.push_back(
-                    std::chrono::duration<double>(end - begin)
-                        .count());
-            }
-            BenchCell schedule;
-            schedule.workload = mesh_workload;
-            schedule.machine = machine_spec;
-            schedule.kernel = "schedule";
-            schedule.algorithm = "uas";
-            schedule.medianSeconds = median(schedule_seconds);
-            schedule.minSeconds =
-                *std::min_element(schedule_seconds.begin(),
-                                  schedule_seconds.end());
-            schedule.reps = repeats;
-            schedule.instructions = graph.numInstructions();
-            schedule.makespan = makespan;
-            mesh_report.cells.push_back(schedule);
-            std::cerr << "perf: mesh " << machine_spec << " construct "
-                      << formatDouble(construct.medianSeconds * 1e3, 2)
-                      << " ms, schedule "
-                      << formatDouble(schedule.medianSeconds * 1e3, 2)
-                      << " ms over " << repeats << " reps\n";
-        }
+        const auto algorithm =
+            makeAlgorithm(parseAlgorithmSpec("uas").value(), *machine);
+        // Fixed bank count: mxm's size scales with banks, and the cell
+        // measures routing on 1024 tiles, not a 65k-instr graph.
+        // Preplacement still spreads over the whole mesh.
+        DependenceGraph graph =
+            tryFindWorkload("mxm")->build(16, machine->numClusters());
+        remapPreplacedForMachine(graph, *machine);
+        BenchCell schedule =
+            benchCell("mxm", machine_spec, "schedule", "uas");
+        schedule.instructions = graph.numInstructions();
+        auto schedule_once = [&]() -> StatusOr<double> {
+            auto run = timed(
+                [&] { return tryRunAndCheck(*algorithm, graph, *machine); });
+            if (!run.value.ok())
+                return run.value.status();
+            schedule.makespan = run.value->makespan;
+            return run.seconds;
+        };
+        if (!measureCell(argv0, repeats, &schedule, schedule_once))
+            return 1;
+        docs[kMesh].report.cells.push_back(schedule);
     }
 
     // Dist cells: the distributed execution path end to end.  One
-    // fixed small grid is timed through runGrid() twice -- under
-    // --isolate (the in-process containment baseline) and over a
-    // localhost fleet of two forked workerd daemons -- so the gate
+    // fixed small grid (the same for quick and full runs, so the key
+    // join always finds both cells) runs through runGrid() under
+    // --isolate, the in-process containment baseline, and over a
+    // localhost fleet of two forked workerd daemons, so the gate
     // tracks the dispatch/lease/heartbeat overhead the RemoteWorkerPool
-    // adds on top of the same forked-worker execution.
-    {
-        // One fixed grid for quick and full runs alike, so the gate's
-        // key join always finds both cells in the baseline.
-        GridSpec dist_grid;
-        dist_grid.workloads = {"fir", "vvmul", "jacobi"};
-        dist_grid.machines = {"vliw4"};
-        std::string error;
-        const auto convergent =
-            parseAlgorithmSpec("convergent", &error);
-        if (!convergent.has_value())
-            usage(argv0, error);
-        dist_grid.algorithms = {*convergent};
-        dist_grid.jobs = 4;
-        dist_grid.computeSpeedup = true;
-
-        const auto workerd_a = spawnPerfWorkerd(2);
-        const auto workerd_b = spawnPerfWorkerd(2);
-        if (!workerd_a.has_value() || !workerd_b.has_value()) {
-            if (workerd_a.has_value())
-                reapWorkerd(*workerd_a);
-            std::cerr << argv0
-                      << ": dist cells: cannot fork workerd\n";
-            return 1;
-        }
-
-        std::string workload_label;
-        for (const auto &name : dist_grid.workloads)
-            workload_label +=
-                (workload_label.empty() ? "" : "+") + name;
-
-        // (mode label, grid mutation) pairs; the label lands in the
-        // cell's kernel field so the two modes join as distinct keys.
-        bool dist_ok = true;
-        for (const std::string mode : {"isolate", "dist-2x2"}) {
-            GridSpec grid = dist_grid;
-            if (mode == "isolate") {
-                grid.isolate = true;
-            } else {
-                grid.hosts = {
-                    "127.0.0.1:" + std::to_string(workerd_a->port),
-                    "127.0.0.1:" + std::to_string(workerd_b->port)};
-            }
-            std::vector<double> seconds;
-            for (int rep = 0; rep <= repeats; ++rep) {
-                const GridReport report = runGrid(grid);
-                if (!report.allOk()) {
-                    std::cerr << argv0 << ": dist cell " << mode
-                              << ": grid run failed\n";
-                    dist_ok = false;
-                    break;
-                }
-                if (rep == 0)
-                    continue;  // warm-up, untimed
-                seconds.push_back(report.wallSeconds);
-            }
-            if (!dist_ok)
-                break;
-            BenchCell out;
-            out.workload = workload_label;
-            out.machine = "vliw4";
-            out.kernel = mode;
-            out.medianSeconds = median(seconds);
-            out.minSeconds =
-                *std::min_element(seconds.begin(), seconds.end());
-            out.reps = repeats;
-            dist_report.cells.push_back(out);
-            std::cerr << "perf: " << out.key() << " median "
-                      << formatDouble(out.medianSeconds * 1e3, 2)
-                      << " ms over " << repeats << " reps\n";
-        }
-        reapWorkerd(*workerd_a);
-        reapWorkerd(*workerd_b);
+    // adds on top of the same forked-worker execution.  The mode lands
+    // in the cell's kernel field so the two join as distinct keys.
+    GridSpec dist_grid;
+    dist_grid.workloads = {"fir", "vvmul", "jacobi"};
+    dist_grid.machines = {"vliw4"};
+    dist_grid.algorithms = {parseAlgorithmSpec("convergent").value()};
+    dist_grid.jobs = 4;
+    dist_grid.computeSpeedup = true;
+    const auto workerd_a = spawnPerfWorkerd(2);
+    const auto workerd_b = spawnPerfWorkerd(2);
+    bool dist_ok = workerd_a.has_value() && workerd_b.has_value();
+    if (!dist_ok)
+        std::cerr << argv0 << ": dist cells: cannot fork workerd\n";
+    for (const std::string mode : {"isolate", "dist-2x2"}) {
         if (!dist_ok)
-            return 1;
+            break;
+        GridSpec grid = dist_grid;
+        if (mode == "isolate")
+            grid.isolate = true;
+        else
+            grid.hosts = {
+                "127.0.0.1:" + std::to_string(workerd_a->port),
+                "127.0.0.1:" + std::to_string(workerd_b->port)};
+        BenchCell cell =
+            benchCell(join(dist_grid.workloads, "+"), "vliw4", mode);
+        auto grid_once = [&]() -> StatusOr<double> {
+            const GridReport report = runGrid(grid);
+            if (!report.allOk())
+                return Status::internal("grid run failed");
+            return report.wallSeconds;
+        };
+        dist_ok = measureCell(argv0, repeats, &cell, grid_once);
+        if (dist_ok)
+            docs[kDist].report.cells.push_back(cell);
     }
+    reapWorkerd(workerd_a);
+    reapWorkerd(workerd_b);
+    if (!dist_ok)
+        return 1;
 
     // Optionally attach pre-rewrite medians so the trajectory's
     // starting point travels with the report.
     if (!annotate_file.empty()) {
-        const auto loaded = readWholeFile(annotate_file);
-        if (!loaded.has_value()) {
-            std::cerr << argv0 << ": cannot read " << annotate_file
-                      << "\n";
+        const auto pre = loadBenchReport(argv0, annotate_file);
+        if (!pre.has_value())
             return 1;
-        }
-        std::string error;
-        const auto pre = parseBenchReport(*loaded, &error);
-        if (!pre.has_value()) {
-            std::cerr << argv0 << ": " << annotate_file << ": "
-                      << error << "\n";
-            return 1;
-        }
         std::map<std::string, double> pre_by_key;
         for (const auto &cell : pre->cells)
             pre_by_key[cell.key()] = cell.medianSeconds;
-        for (auto &cell : e2e_report.cells) {
+        for (auto &cell : docs[kEndToEnd].report.cells) {
             const auto it = pre_by_key.find(cell.key());
             if (it != pre_by_key.end())
                 cell.preRewriteSeconds = it->second;
@@ -928,103 +843,60 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         if (!component.empty() && component != ".")
             ::mkdir(dir_prefix.c_str(), 0777);
     }
-    auto writeReport = [&](const std::string &path,
-                           const BenchReport &report) -> bool {
+    for (const auto &doc : docs) {
+        const std::string path = out_dir + "/" + doc.file;
         const Status written =
-            writeFileAtomic(path, benchReportToJson(report));
+            writeFileAtomic(path, benchReportToJson(doc.report));
         if (!written.ok()) {
             std::cerr << argv0 << ": " << written.toString() << "\n";
-            return false;
+            return 1;
         }
         std::cerr << "perf: wrote " << path << "\n";
-        return true;
-    };
-    if (!writeReport(out_dir + "/BENCH_pass_kernels.json",
-                     kernels_report) ||
-        !writeReport(out_dir + "/BENCH_end_to_end.json", e2e_report) ||
-        !writeReport(out_dir + "/BENCH_online.json", online_report) ||
-        !writeReport(out_dir + "/BENCH_mesh.json", mesh_report) ||
-        !writeReport(out_dir + "/BENCH_dist.json", dist_report))
-        return 1;
+    }
 
     if (!check)
         return 0;
 
-    // The regression gate: join the end-to-end cells against the
-    // committed baseline and fail on slowdown beyond the threshold.
-    // The gate is the end-to-end medians only: per-pass kernel times
-    // cover ~a third of a schedule() call, so machine-load noise
-    // swings them far more than the cells the gate protects.  The
-    // per-kernel delta table is printed as the diagnostic when the
-    // gate fails (it localises the regression to a pass).
+    // The regression gate: join each gated document against its
+    // committed baseline and fail on a slowdown beyond the threshold.
+    // Per-pass kernel times cover ~a third of a schedule() call, so
+    // machine-load noise swings them far more than the cells the gate
+    // protects; their delta table is printed as the diagnostic when
+    // the gate fails (it localises the regression to a pass).
     BenchCompareOptions compare;
     compare.slowdownThreshold = threshold / 100.0;
-    auto load = [&](const char *name) -> std::optional<BenchReport> {
-        const std::string base_path =
-            baseline_dir + "/" + std::string(name);
-        const auto loaded = readWholeFile(base_path);
-        if (!loaded.has_value()) {
-            std::cerr << argv0 << ": perf gate: no baseline "
-                      << base_path << "\n";
-            return std::nullopt;
-        }
-        std::string error;
-        auto baseline = parseBenchReport(*loaded, &error);
-        if (!baseline.has_value())
-            std::cerr << argv0 << ": perf gate: " << base_path << ": "
-                      << error << "\n";
-        return baseline;
+    auto baseline = [&](const PerfDocument &doc) {
+        return loadBenchReport(argv0, baseline_dir + "/" + doc.file);
     };
-    const auto e2e_baseline = load("BENCH_end_to_end.json");
-    const auto online_baseline = load("BENCH_online.json");
-    const auto mesh_baseline = load("BENCH_mesh.json");
-    const auto dist_baseline = load("BENCH_dist.json");
-    if (!e2e_baseline.has_value() || !online_baseline.has_value() ||
-        !mesh_baseline.has_value() || !dist_baseline.has_value()) {
-        std::cerr << argv0 << ": perf gate FAILED\n";
-        return 1;
-    }
-    std::cout << "perf gate: end-to-end vs " << baseline_dir
-              << "/BENCH_end_to_end.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    bool ok = compareBenchReports(*e2e_baseline, e2e_report, compare,
-                                  std::cout);
-    std::cout << "\n";
-    std::cout << "perf gate: online vs " << baseline_dir
-              << "/BENCH_online.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*online_baseline, online_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
-    std::cout << "perf gate: mesh vs " << baseline_dir
-              << "/BENCH_mesh.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*mesh_baseline, mesh_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
-    std::cout << "perf gate: dist vs " << baseline_dir
-              << "/BENCH_dist.json (threshold "
-              << formatDouble(threshold, 0) << "%)\n";
-    ok = compareBenchReports(*dist_baseline, dist_report, compare,
-                             std::cout) &&
-         ok;
-    std::cout << "\n";
-    if (!ok) {
-        const auto kernels_baseline = load("BENCH_pass_kernels.json");
-        if (kernels_baseline.has_value()) {
-            std::cout << "perf gate: per-kernel deltas (diagnostic)\n";
-            (void)compareBenchReports(*kernels_baseline,
-                                      kernels_report, compare,
-                                      std::cout);
-            std::cout << "\n";
+    bool ok = true;
+    for (const auto &doc : docs) {
+        if (!doc.gated)
+            continue;
+        const auto base = baseline(doc);
+        if (!base.has_value()) {
+            ok = false;
+            continue;
         }
-        std::cerr << argv0 << ": perf gate FAILED\n";
-        return 1;
+        std::cout << "perf gate: " << doc.report.kind << " vs "
+                  << baseline_dir << "/" << doc.file << " (threshold "
+                  << formatDouble(threshold, 0) << "%)\n";
+        ok = compareBenchReports(*base, doc.report, compare, std::cout) &&
+             ok;
+        std::cout << "\n";
     }
-    std::cout << "perf gate ok\n";
-    return 0;
+    if (ok) {
+        std::cout << "perf gate ok\n";
+        return 0;
+    }
+    const PerfDocument &kernels = docs[kPassKernels];
+    if (const auto base = baseline(kernels)) {
+        std::cout << "perf gate: per-kernel deltas (diagnostic)\n";
+        (void)compareBenchReports(*base, kernels.report, compare,
+                                  std::cout);
+        std::cout << "\n";
+    }
+    std::cerr << argv0 << ": perf gate FAILED\n";
+    return 1;
 }
 
 // ---- list ----------------------------------------------------------
@@ -1069,11 +941,7 @@ main(int argc, char **argv)
         return runList();
     if (!args.empty() && args[0] == "--version")
         return printToolVersion("csched_bench");
-    if (!args.empty() && args[0] == "help")
+    if (args.empty() || args[0] == "help")
         usage(argv[0]);
-    // Compatibility shim: bare grid flags keep meaning `suite` for
-    // one release.
-    if (args.empty() || args[0].rfind("--", 0) == 0)
-        return runSuite(argv[0], args);
     usage(argv[0], "unknown subcommand '" + args[0] + "'");
 }
