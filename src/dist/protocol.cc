@@ -23,24 +23,10 @@ finish(std::ostringstream &out)
     return compactJson(out.str());
 }
 
-/** A non-negative integral counter out of a JSON number. */
-bool
-parseCounter(const JsonValue &value, uint64_t *out)
-{
-    if (value.kind != JsonValue::Kind::Number)
-        return false;
-    if (value.number < 0 ||
-        value.number != static_cast<double>(
-                            static_cast<uint64_t>(value.number)))
-        return false;
-    *out = static_cast<uint64_t>(value.number);
-    return true;
-}
-
 Status
-shapeError(const char *what)
+shapeError(const std::string &what)
 {
-    return Status::invalidSpec(std::string("dist frame: ") + what);
+    return Status::invalidSpec("dist frame: " + what);
 }
 
 } // namespace
@@ -158,80 +144,47 @@ encodeDistPong(uint64_t seq)
 StatusOr<DistMessage>
 decodeDistMessage(const std::string &payload)
 {
-    std::string error;
-    const auto parsed = parseJson(payload, &error);
+    const auto parsed = parseJson(payload);
     if (!parsed.has_value())
         return shapeError("not JSON");
-    if (parsed->kind != JsonValue::Kind::Object)
-        return shapeError("not a JSON object");
-
-    const JsonValue *schema = parsed->find("schema");
-    if (schema == nullptr ||
-        schema->kind != JsonValue::Kind::String ||
-        schema->string != kDistSchema)
-        return Status::invalidSpec(
-            std::string("dist frame: schema is not ") + kDistSchema);
-
-    const JsonValue *type = parsed->find("type");
-    if (type == nullptr || type->kind != JsonValue::Kind::String)
-        return shapeError("missing 'type'");
 
     DistMessage msg;
-    if (type->string == "hello") {
+    std::string type;
+    JsonFields fields(*parsed, "dist frame");
+    if (!fields.expect("schema", kDistSchema).get("type", &type).ok())
+        return fields.status();
+    if (type == "hello") {
         msg.kind = DistMessage::Kind::Hello;
-        return msg;
-    }
-    if (type->string == "welcome") {
+    } else if (type == "welcome") {
         msg.kind = DistMessage::Kind::Welcome;
-        const JsonValue *capacity = parsed->find("capacity");
-        if (capacity == nullptr ||
-            capacity->kind != JsonValue::Kind::Number ||
-            capacity->asInt() < 1)
-            return shapeError(
-                "welcome capacity must be a positive integer");
-        msg.capacity = capacity->asInt();
-        return msg;
-    }
-    if (type->string == "ping" || type->string == "pong") {
-        msg.kind = type->string == "ping" ? DistMessage::Kind::Ping
-                                          : DistMessage::Kind::Pong;
-        const JsonValue *seq = parsed->find("seq");
-        if (seq == nullptr || !parseCounter(*seq, &msg.seq))
-            return shapeError(
-                "heartbeat seq must be a non-negative integer");
-        return msg;
-    }
-    if (type->string == "job") {
+        fields.get("capacity", &msg.capacity, 1);
+    } else if (type == "ping" || type == "pong") {
+        msg.kind = type == "ping" ? DistMessage::Kind::Ping
+                                  : DistMessage::Kind::Pong;
+        fields.get("seq", &msg.seq);
+    } else if (type == "job") {
         msg.kind = DistMessage::Kind::Job;
-        const JsonValue *id = parsed->find("id");
-        if (id == nullptr || !parseCounter(*id, &msg.id))
-            return shapeError(
-                "job id must be a non-negative integer");
-        auto frame = decodeWorkerJobFields(*parsed);
-        if (!frame.ok())
-            return Status::invalidSpec("dist job frame: " +
-                                       frame.status().message());
-        msg.job = std::move(*frame);
-        return msg;
-    }
-    if (type->string == "result") {
+        if (fields.get("id", &msg.id).ok()) {
+            auto frame = decodeWorkerJobFields(*parsed);
+            if (!frame.ok())
+                return shapeError("job " + frame.status().message());
+            msg.job = std::move(*frame);
+        }
+    } else if (type == "result") {
         msg.kind = DistMessage::Kind::Result;
-        const JsonValue *id = parsed->find("id");
-        if (id == nullptr || !parseCounter(*id, &msg.id))
-            return shapeError(
-                "result id must be a non-negative integer");
-        const JsonValue *result = parsed->find("result");
-        if (result == nullptr ||
-            result->kind != JsonValue::Kind::Object)
-            return shapeError("result payload must be an object");
-        auto decoded = parseJobResultFields(*result);
-        if (!decoded.has_value())
-            return shapeError("result is missing job-result fields");
-        msg.result = std::move(*decoded);
-        return msg;
+        const JsonValue *result = nullptr;
+        if (fields.get("id", &msg.id).get("result", &result).ok()) {
+            auto decoded = parseJobResultFields(*result);
+            if (!decoded.ok())
+                return shapeError(decoded.status().message());
+            msg.result = std::move(*decoded);
+        }
+    } else {
+        return shapeError("unknown type '" + type + "'");
     }
-    return Status::invalidSpec("dist frame: unknown type '" +
-                               type->string + "'");
+    if (!fields.ok())
+        return fields.status();
+    return msg;
 }
 
 } // namespace csched

@@ -116,13 +116,6 @@ parseStreamFields(const std::vector<std::string> &fields, StreamSpec &spec,
     return true;
 }
 
-int
-intField(const JsonValue &record, const char *name, int fallback)
-{
-    const JsonValue *value = record.find(name);
-    return value != nullptr ? value->asInt() : fallback;
-}
-
 } // namespace
 
 bool
@@ -262,34 +255,28 @@ parseStreamTrace(const std::string &text)
             continue;
         std::string parseError;
         std::optional<JsonValue> record = parseJson(line, &parseError);
-        if (!record || record->kind != JsonValue::Kind::Object)
+        if (!record)
             return Status::invalidSpec(
                 "stream trace line " + std::to_string(lineNo) +
-                " is not a JSON object: " + parseError);
+                " is not JSON: " + parseError);
         if (!sawHeader) {
-            const JsonValue *schema = record->find("schema");
-            if (schema == nullptr ||
-                schema->kind != JsonValue::Kind::String ||
-                schema->string != kStreamTraceSchema)
-                return Status::invalidSpec(
-                    "stream trace header is not " +
-                    std::string(kStreamTraceSchema));
+            JsonFields header(*record, "stream trace header");
+            if (!header.expect("schema", kStreamTraceSchema).ok())
+                return header.status();
             sawHeader = true;
             continue;
         }
-        const JsonValue *workload = record->find("workload");
-        if (workload == nullptr ||
-            workload->kind != JsonValue::Kind::String)
-            return Status::invalidSpec(
-                "stream trace line " + std::to_string(lineNo) +
-                " has no workload");
         RegionArrival arrival;
-        arrival.id = intField(*record, "id",
-                              static_cast<int>(arrivals.size()));
-        arrival.workload = workload->string;
-        arrival.release = intField(*record, "release", 0);
-        arrival.weight = intField(*record, "weight", 1);
-        arrival.deadline = intField(*record, "deadline", -1);
+        arrival.id = static_cast<int>(arrivals.size());
+        JsonFields fields(*record,
+                          "stream trace line " + std::to_string(lineNo));
+        fields.get("workload", &arrival.workload)
+            .optional("id", &arrival.id)
+            .optional("release", &arrival.release)
+            .optional("weight", &arrival.weight)
+            .optional("deadline", &arrival.deadline);
+        if (!fields.ok())
+            return fields.status();
         if (tryFindWorkload(arrival.workload) == nullptr)
             return Status::invalidSpec("stream trace names unknown workload '" +
                                        arrival.workload + "'");

@@ -5,6 +5,7 @@
 #include "eval/online_metrics.hh"
 #include "machine/machine_spec.hh"
 #include "online/online_scheduler.hh"
+#include "support/str.hh"
 
 namespace csched {
 
@@ -29,8 +30,8 @@ runOnlineJobAttempt(const JobSpec &spec, JobResult &out)
         return Status::invalidSpec(
             "stream workload '" + spec.workload +
             "' requires an online policy (" +
-            "online-convergent|online-sp|online-list|online-uas|"
-            "online-pcc), got '" + spec.algorithm.text() + "'");
+            join(knownOnlinePolicyNames(), "|") + "), got '" +
+            spec.algorithm.text() + "'");
 
     std::string error;
     const auto machine = parseMachineSpec(spec.machine, &error);

@@ -1,7 +1,6 @@
 #include "online/policy.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "support/str.hh"
 
@@ -30,37 +29,30 @@ parsePolicyOptions(const std::vector<std::string> &fields,
         const std::string key = field.substr(0, eq);
         const std::string value = field.substr(eq + 1);
         if (key == "budget-ms") {
-            char *end = nullptr;
-            const long ms = std::strtol(value.c_str(), &end, 10);
-            if (end == nullptr || *end != '\0' || ms < 0 || ms > 3600000)
+            const auto ms = parseNonNegativeIntFlag(value);
+            if (!ms.has_value() || *ms > 3600000)
                 return fail(error, "bad budget-ms '" + value + "'");
-            spec.decisionBudgetMs = static_cast<int>(ms);
+            spec.decisionBudgetMs = *ms;
         } else if (key == "preempt-factor") {
-            char *end = nullptr;
-            const double factor = std::strtod(value.c_str(), &end);
-            if (end == nullptr || *end != '\0' || !(factor >= 1.0))
+            const auto factor = parseFiniteDoubleFlag(value);
+            if (!factor.has_value() || *factor < 1.0)
                 return fail(error,
                             "preempt-factor must be >= 1, got '" + value +
                                 "'");
-            spec.preemptFactor = factor;
+            spec.preemptFactor = *factor;
         } else if (key == "degrade-at") {
-            char *end = nullptr;
-            const long at = std::strtol(value.c_str(), &end, 10);
-            if (value.empty() || end == nullptr || *end != '\0' ||
-                at < 0 || at > 1000000000)
+            const auto at = parseNonNegativeIntFlag(value);
+            if (!at.has_value() || *at > 1000000000)
                 return fail(error, "bad degrade-at '" + value + "'");
-            spec.degradeAt = static_cast<int>(at);
+            spec.degradeAt = *at;
         } else if (key == "degrade-tiles") {
             spec.degradeTiles.clear();
             for (const std::string &part : split(value, '+')) {
-                const std::string tile = trim(part);
-                char *end = nullptr;
-                const long id = std::strtol(tile.c_str(), &end, 10);
-                if (tile.empty() || end == nullptr || *end != '\0' ||
-                    id < 0 || id > 100000)
+                const auto id = parseNonNegativeIntFlag(trim(part));
+                if (!id.has_value() || *id > 100000)
                     return fail(error, "bad degrade-tiles entry '" +
                                            part + "'");
-                spec.degradeTiles.push_back(static_cast<int>(id));
+                spec.degradeTiles.push_back(*id);
             }
             if (spec.degradeTiles.empty())
                 return fail(error,

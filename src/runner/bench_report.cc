@@ -12,8 +12,9 @@ namespace csched {
 std::string
 BenchCell::key() const
 {
-    return workload + "/" + machine + "/" +
-           (kernel.empty() ? algorithm : kernel);
+    return workload + "/" + machine +
+           (algorithm.empty() ? "" : "/" + algorithm) +
+           (kernel.empty() ? "" : "/" + kernel);
 }
 
 std::string
@@ -64,35 +65,22 @@ benchReportToJson(const BenchReport &report)
 
 namespace {
 
-bool
-parseCell(const JsonValue &value, BenchCell *cell, std::string *error)
+/** Read one cell; medianSeconds first, the statistic a cell exists for. */
+Status
+parseCell(const JsonValue &value, BenchCell *cell)
 {
-    const JsonValue *workload = value.find("workload");
-    const JsonValue *machine = value.find("machine");
-    const JsonValue *median = value.find("medianSeconds");
-    if (workload == nullptr || machine == nullptr || median == nullptr) {
-        if (error != nullptr)
-            *error = "cell missing workload/machine/medianSeconds";
-        return false;
-    }
-    cell->workload = workload->string;
-    cell->machine = machine->string;
-    cell->medianSeconds = median->asDouble();
-    if (const JsonValue *kernel = value.find("kernel"))
-        cell->kernel = kernel->string;
-    if (const JsonValue *algorithm = value.find("algorithm"))
-        cell->algorithm = algorithm->string;
-    if (const JsonValue *min = value.find("minSeconds"))
-        cell->minSeconds = min->asDouble();
-    if (const JsonValue *reps = value.find("reps"))
-        cell->reps = reps->asInt();
-    if (const JsonValue *instrs = value.find("instructions"))
-        cell->instructions = instrs->asInt();
-    if (const JsonValue *makespan = value.find("makespan"))
-        cell->makespan = makespan->asInt();
-    if (const JsonValue *pre = value.find("preRewriteSeconds"))
-        cell->preRewriteSeconds = pre->asDouble();
-    return true;
+    return JsonFields(value, "bench cell")
+        .get("medianSeconds", &cell->medianSeconds)
+        .get("workload", &cell->workload)
+        .get("machine", &cell->machine)
+        .optional("kernel", &cell->kernel)
+        .optional("algorithm", &cell->algorithm)
+        .optional("minSeconds", &cell->minSeconds)
+        .optional("reps", &cell->reps)
+        .optional("instructions", &cell->instructions)
+        .optional("makespan", &cell->makespan)
+        .optional("preRewriteSeconds", &cell->preRewriteSeconds)
+        .status();
 }
 
 } // namespace
@@ -103,43 +91,33 @@ parseBenchReport(const std::string &text, std::string *error)
     const auto doc = parseJson(text, error);
     if (!doc.has_value())
         return std::nullopt;
-    const JsonValue *schema = doc->find("schema");
-    if (schema == nullptr || schema->string != kBenchReportSchema) {
-        if (error != nullptr)
-            *error = "not a " + std::string(kBenchReportSchema) +
-                     " document";
-        return std::nullopt;
-    }
     BenchReport report;
-    if (const JsonValue *kind = doc->find("kind"))
-        report.kind = kind->string;
-    if (const JsonValue *meta = doc->find("meta")) {
-        if (const JsonValue *v = meta->find("commit"))
-            report.meta.commit = v->string;
-        if (const JsonValue *v = meta->find("buildType"))
-            report.meta.buildType = v->string;
-        if (const JsonValue *v = meta->find("compiler"))
-            report.meta.compiler = v->string;
-        if (const JsonValue *v = meta->find("flags"))
-            report.meta.flags = v->string;
-        if (const JsonValue *v = meta->find("host"))
-            report.meta.host = v->string;
-        if (const JsonValue *v = meta->find("repeats"))
-            report.meta.repeats = v->asInt();
+    const JsonValue *meta = nullptr;
+    const std::vector<JsonValue> *cells = nullptr;
+    Status status = JsonFields(*doc, "bench report")
+                        .expect("schema", kBenchReportSchema)
+                        .optional("kind", &report.kind)
+                        .optional("meta", &meta)
+                        .get("cells", &cells)
+                        .status();
+    if (status.ok() && meta != nullptr)
+        status = JsonFields(*meta, "bench report meta")
+                     .optional("commit", &report.meta.commit)
+                     .optional("buildType", &report.meta.buildType)
+                     .optional("compiler", &report.meta.compiler)
+                     .optional("flags", &report.meta.flags)
+                     .optional("host", &report.meta.host)
+                     .optional("repeats", &report.meta.repeats)
+                     .status();
+    for (size_t k = 0; status.ok() && k < cells->size(); ++k) {
+        report.cells.emplace_back();
+        status = parseCell((*cells)[k], &report.cells.back());
     }
-    const JsonValue *cells = doc->find("cells");
-    if (cells == nullptr || cells->kind != JsonValue::Kind::Array) {
-        if (error != nullptr)
-            *error = "missing cells array";
-        return std::nullopt;
-    }
-    for (const auto &entry : cells->array) {
-        BenchCell cell;
-        if (!parseCell(entry, &cell, error))
-            return std::nullopt;
-        report.cells.push_back(cell);
-    }
-    return report;
+    if (status.ok())
+        return report;
+    if (error != nullptr)
+        *error = status.message();
+    return std::nullopt;
 }
 
 bool

@@ -6,9 +6,10 @@
  * Five documents share the schema, distinguished by "kind":
  *
  *  - "pass-kernels" (BENCH_pass_kernels.json): one cell per
- *    (workload, machine, kernel) where kernel is a convergent pass
- *    name; medianSeconds is the median-of-N wall time of that pass
- *    inside the timed samples of the matching end-to-end cell.
+ *    (workload, machine, algorithm, kernel) where kernel is a
+ *    convergent pass name and algorithm the spec of the end-to-end
+ *    cell it was read off; medianSeconds is the median-of-N wall time
+ *    of that pass inside the timed samples of that end-to-end cell.
  *  - "end-to-end" (BENCH_end_to_end.json): one cell per
  *    (workload, machine, algorithm); medianSeconds is the median-of-N
  *    wall time of a complete schedule() call (graph construction
@@ -54,9 +55,9 @@
  * it was before the blocked-layout rewrite (see EXPERIMENTS.md), so
  * the perf trajectory's starting point travels with the report.
  *
- * Cells are identified by (workload, machine, kernel-or-algorithm);
- * compareBenchReports() joins two reports on that key and fails on
- * relative slowdown beyond a threshold, which is the ci.sh perf gate.
+ * Cells are identified by workload, machine, and algorithm and kernel
+ * where set; compareBenchReports() joins two reports on that key and
+ * fails on relative slowdown beyond a threshold: the ci.sh perf gate.
  * Serialization uses the deterministic JsonWriter of support/json --
  * the same infrastructure as the csched-grid-report-v2 documents --
  * so bench reports diff cleanly and parse with the same parser.
@@ -96,7 +97,7 @@ struct BenchCell
      * "mesh" and the execution mode for "dist"; empty otherwise.
      */
     std::string kernel;
-    /** Algorithm or online policy spec of a scheduled cell; else empty. */
+    /** Algorithm or policy spec of a scheduled cell or kernel; else empty. */
     std::string algorithm;
     double medianSeconds = 0.0;
     /** Best-of-N; < 0 when absent (reports written before the field). */
@@ -108,7 +109,7 @@ struct BenchCell
     /** Median on the pre-rewrite engine, when annotated; else < 0. */
     double preRewriteSeconds = -1.0;
 
-    /** The join key used by compareBenchReports. */
+    /** The join key: workload/machine[/algorithm][/kernel]. */
     std::string key() const;
 };
 

@@ -1,6 +1,8 @@
 #include "runner/grid_runner.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <exception>
 #include <memory>
@@ -290,7 +292,7 @@ runJob(const JobSpec &spec, const JobPolicy &policy,
         return result;
     }
 
-    const int max_attempts = 1 + std::max(0, policy.retries);
+    const int max_attempts = 1 + std::clamp(policy.retries, 0, INT_MAX - 1);
     std::vector<int> backoffs;
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         result.attempts = attempt;

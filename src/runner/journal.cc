@@ -178,10 +178,11 @@ loadJournal(const std::string &path, const std::string &fingerprint)
             continue;
         }
         if (!saw_header) {
-            const JsonValue *schema = parsed->find("journal");
-            const JsonValue *grid = parsed->find("grid");
-            if (schema == nullptr || grid == nullptr ||
-                schema->string != kJournalSchema) {
+            std::string grid;
+            if (!JsonFields(*parsed, "journal header")
+                     .expect("journal", kJournalSchema)
+                     .get("grid", &grid)
+                     .ok()) {
                 // No recognizable header: treat the file as untrusted
                 // and start over rather than splice unknown records.
                 replay.results.clear();
@@ -189,7 +190,7 @@ loadJournal(const std::string &path, const std::string &fingerprint)
                 replay.rewriteHeader = true;
                 return replay;
             }
-            if (grid->string != fingerprint)
+            if (grid != fingerprint)
                 return Status::invalidSpec(
                     "journal '" + path +
                     "' was written for a different grid; refusing "
@@ -197,18 +198,19 @@ loadJournal(const std::string &path, const std::string &fingerprint)
             saw_header = true;
             continue;
         }
-        const JsonValue *key = parsed->find("key");
-        const JsonValue *result = parsed->find("result");
-        if (key == nullptr || result == nullptr) {
+        // A record with a missing or mis-typed field is skipped like
+        // any other crash artifact.
+        std::string key;
+        const JsonValue *result = nullptr;
+        JsonFields record(*parsed, "journal record");
+        auto rebuilt = record.get("key", &key).get("result", &result).ok()
+                           ? parseJobResultFields(*result)
+                           : record.status();
+        if (!rebuilt.ok()) {
             ++replay.ignoredLines;
             continue;
         }
-        auto rebuilt = parseJobResultFields(*result);
-        if (!rebuilt.has_value()) {
-            ++replay.ignoredLines;
-            continue;
-        }
-        replay.results[key->string] = std::move(*rebuilt);
+        replay.results[key] = std::move(*rebuilt);
     }
     replay.rewriteHeader = !saw_header;
     return replay;

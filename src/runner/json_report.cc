@@ -158,81 +158,60 @@ writeJobResultFields(JsonWriter &w, const JobResult &result)
     w.endArray();
 }
 
-std::optional<JobResult>
+StatusOr<JobResult>
 parseJobResultFields(const JsonValue &value)
 {
-    if (value.kind != JsonValue::Kind::Object)
-        return std::nullopt;
-    for (const char *field :
-         {"workload", "machine", "algorithm", "algorithmName",
-          "outcome", "error", "diagnostic", "attempts",
-          "instructions", "makespan", "criticalPathLength",
-          "singleClusterMakespan", "speedup", "assignment",
-          "seconds", "trace"})
-        if (value.find(field) == nullptr)
-            return std::nullopt;
-
     JobResult result;
-    result.workload = value.at("workload").string;
-    result.machine = value.at("machine").string;
-    result.algorithm = value.at("algorithm").string;
-    result.algorithmName = value.at("algorithmName").string;
+    std::string outcome;
+    std::string error;
+    const std::vector<JsonValue> *trace = nullptr;
+    JsonFields fields(value, "job result");
+    fields.get("workload", &result.workload)
+        .get("machine", &result.machine)
+        .get("algorithm", &result.algorithm)
+        .get("algorithmName", &result.algorithmName)
+        .get("outcome", &outcome)
+        .get("error", &error)
+        .get("diagnostic", &result.diagnostic)
+        .get("attempts", &result.attempts)
+        // Post-v1 fields: absent in journals written before the
+        // worker layer and the online cells existed, so optional.
+        .optional("workerSignal", &result.workerSignal)
+        .optional("workerExitStatus", &result.workerExitStatus)
+        .optional("regions", &result.regions)
+        .optional("weightedCompletion", &result.weightedCompletion)
+        .optional("maxFlowTime", &result.maxFlowTime)
+        .optional("meanFlowTime", &result.meanFlowTime)
+        .optional("deadlineMisses", &result.deadlineMisses)
+        .optional("preemptions", &result.preemptions)
+        .optional("fallbackDecisions", &result.fallbackDecisions)
+        .get("instructions", &result.instructions)
+        .get("makespan", &result.makespan)
+        .get("criticalPathLength", &result.criticalPathLength)
+        .get("singleClusterMakespan", &result.singleClusterMakespan)
+        .get("speedup", &result.speedup)
+        .get("seconds", &result.seconds)
+        .get("assignment", &result.assignment)
+        .get("trace", &trace);
+    if (!fields.ok())
+        return fields.status();
 
-    const auto outcome =
-        parseJobOutcomeName(value.at("outcome").string);
-    const auto error = parseErrorCodeName(value.at("error").string);
-    if (!outcome.has_value())
-        return std::nullopt;
-    result.outcome = *outcome;
-    result.error = error.value_or(ErrorCode::Ok);
-    result.diagnostic = value.at("diagnostic").string;
-    result.attempts = value.at("attempts").asInt();
-    // Post-v1 fields: absent in journals written before the worker
-    // layer existed, so read them tolerantly.
-    if (const JsonValue *sig = value.find("workerSignal"))
-        result.workerSignal = sig->asInt();
-    if (const JsonValue *status = value.find("workerExitStatus"))
-        result.workerExitStatus = status->asInt();
-    // Online fields: also post-v1, also tolerant.
-    if (const JsonValue *regions = value.find("regions"))
-        result.regions = regions->asInt();
-    if (const JsonValue *wc = value.find("weightedCompletion"))
-        result.weightedCompletion = static_cast<int64_t>(wc->asDouble());
-    if (const JsonValue *flow = value.find("maxFlowTime"))
-        result.maxFlowTime = flow->asInt();
-    if (const JsonValue *flow = value.find("meanFlowTime"))
-        result.meanFlowTime = flow->asDouble();
-    if (const JsonValue *misses = value.find("deadlineMisses"))
-        result.deadlineMisses = misses->asInt();
-    if (const JsonValue *preempts = value.find("preemptions"))
-        result.preemptions = preempts->asInt();
-    if (const JsonValue *fallbacks = value.find("fallbackDecisions"))
-        result.fallbackDecisions = fallbacks->asInt();
-    result.instructions = value.at("instructions").asInt();
-    result.makespan = value.at("makespan").asInt();
-    result.criticalPathLength =
-        value.at("criticalPathLength").asInt();
-    result.singleClusterMakespan =
-        value.at("singleClusterMakespan").asInt();
-    result.speedup = value.at("speedup").asDouble();
-    result.seconds = value.at("seconds").asDouble();
-    for (const auto &entry : value.at("assignment").array)
-        result.assignment.push_back(entry.asInt());
-    for (const auto &step : value.at("trace").array) {
-        if (step.kind != JsonValue::Kind::Object ||
-            step.find("pass") == nullptr ||
-            step.find("fractionChanged") == nullptr ||
-            step.find("temporalOnly") == nullptr ||
-            step.find("seconds") == nullptr)
-            return std::nullopt;
+    const auto parsed_outcome = parseJobOutcomeName(outcome);
+    if (!parsed_outcome.has_value())
+        return Status::invalidSpec("job result outcome '" + outcome +
+                                   "' is unknown");
+    result.outcome = *parsed_outcome;
+    result.error = parseErrorCodeName(error).value_or(ErrorCode::Ok);
+    for (const auto &step : *trace) {
         PassStep parsed;
-        parsed.pass = step.at("pass").string;
-        parsed.fractionChanged =
-            step.at("fractionChanged").asDouble();
-        parsed.temporalOnly = step.at("temporalOnly").boolean;
-        if (const JsonValue *skipped = step.find("skipped"))
-            parsed.skipped = skipped->boolean;
-        parsed.seconds = step.at("seconds").asDouble();
+        JsonFields step_fields(step, "job result trace step");
+        step_fields.get("pass", &parsed.pass)
+            .get("fractionChanged", &parsed.fractionChanged)
+            .get("temporalOnly", &parsed.temporalOnly)
+            .optional("skipped", &parsed.skipped)
+            .get("seconds", &parsed.seconds);
+        if (!step_fields.ok())
+            return step_fields.status();
         result.trace.push_back(std::move(parsed));
     }
     return result;

@@ -64,12 +64,12 @@ struct JsonValue;
 void writeJobResultFields(JsonWriter &w, const JobResult &result);
 
 /**
- * Inverse of writeJobResultFields; nullopt when @p value is missing
- * required fields or malformed.  Fields added after v1 (worker
- * metadata, skipped trace flags) are optional on read, so older
- * journals still load.
+ * Inverse of writeJobResultFields: an InvalidSpec status naming the
+ * first missing or mis-typed field, or an unknown outcome.  Fields
+ * added after v1 (worker metadata, online scores, skipped trace
+ * flags) are optional on read, so older journals still load.
  */
-std::optional<JobResult> parseJobResultFields(const JsonValue &value);
+StatusOr<JobResult> parseJobResultFields(const JsonValue &value);
 
 } // namespace csched
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -123,13 +124,10 @@ runWorkerJob(const JsonValue &msg)
     if (!frame.ok()) {
         JobResult bad;
         bad.outcome = JobOutcome::Failed;
-        bad.error = ErrorCode::Internal;
-        if (const JsonValue *workload = msg.find("workload"))
-            bad.workload = workload->string;
-        if (const JsonValue *machine = msg.find("machine"))
-            bad.machine = machine->string;
-        if (const JsonValue *algorithm = msg.find("algorithm"))
-            bad.algorithm = algorithm->string;
+        JsonFields(msg, "worker job frame")
+            .optional("workload", &bad.workload)
+            .optional("machine", &bad.machine)
+            .optional("algorithm", &bad.algorithm);
         bad.error = frame.status().code();
         bad.diagnostic = frame.status().message();
         return bad;
@@ -175,22 +173,22 @@ workerChildMain(int in_fd, int out_fd, int mem_limit_mb,
 
         // Death directives: the parent-side worker.* fault points
         // decided this dispatch must demonstrate containment.
-        if (const JsonValue *die = msg->find("die")) {
-            if (die->string == "crash") {
-                // A sanitizer runtime intercepts SIGSEGV and would
-                // turn the death into an abort/exit; restore the
-                // default disposition so the worker dies by the real
-                // signal under every build flavour.
-                std::signal(SIGSEGV, SIG_DFL);
-                ::raise(SIGSEGV);
-                ::_exit(112);  // only if SIGSEGV was blocked somehow
-            }
-            if (die->string == "hang")
-                for (;;)
-                    ::pause();
-            if (die->string == "oom")
-                dieOfMemory();
+        std::string die;
+        JsonFields(*msg, "worker job frame").optional("die", &die);
+        if (die == "crash") {
+            // A sanitizer runtime intercepts SIGSEGV and would turn
+            // the death into an abort/exit; restore the default
+            // disposition so the worker dies by the real signal under
+            // every build flavour.
+            std::signal(SIGSEGV, SIG_DFL);
+            ::raise(SIGSEGV);
+            ::_exit(112);  // only if SIGSEGV was blocked somehow
         }
+        if (die == "hang")
+            for (;;)
+                ::pause();
+        if (die == "oom")
+            dieOfMemory();
 
         const JobResult result = runWorkerJob(*msg);
         if (!writeFrame(out_fd, encodeWorkerReply(result)).ok())
@@ -576,8 +574,10 @@ watchdogBudgetMs(const JobPolicy &policy, int child_attempts)
 {
     if (policy.deadlineMs <= 0)
         return 0;
-    return policy.deadlineMs * child_attempts + 250 * child_attempts +
-           1000;
+    // Both factors may be as large as a job frame allows.
+    const int64_t budget =
+        (int64_t{policy.deadlineMs} + 250) * child_attempts + 1000;
+    return static_cast<int>(std::min<int64_t>(budget, INT_MAX));
 }
 
 /** The deterministic half of a worker-death diagnostic. */
@@ -649,44 +649,40 @@ encodeWorkerJob(const JobSpec &spec, const JobPolicy &policy,
 StatusOr<WorkerJobFrame>
 decodeWorkerJobFields(const JsonValue &msg)
 {
-    for (const char *field :
-         {"workload", "machine", "algorithm", "computeSpeedup",
-          "deadlineMs", "retries", "faults"}) {
-        if (msg.find(field) == nullptr)
-            return Status::internal(
-                std::string("worker job frame missing '") + field +
-                "'");
-    }
-
     WorkerJobFrame frame;
-    frame.spec.workload = msg.at("workload").string;
-    frame.spec.machine = msg.at("machine").string;
-    frame.spec.computeSpeedup = msg.at("computeSpeedup").boolean;
+    std::string algorithm_text;
+    std::string faults_text;
+    JsonFields fields(msg, "worker job frame");
+    fields.get("workload", &frame.spec.workload)
+        .get("machine", &frame.spec.machine)
+        .get("algorithm", &algorithm_text)
+        .get("computeSpeedup", &frame.spec.computeSpeedup)
+        .get("deadlineMs", &frame.deadlineMs, 0)
+        .get("retries", &frame.retries, 0)
+        .get("faults", &faults_text)
+        .optional("die", &frame.die);
+    if (msg.find("baselineMakespan") != nullptr) {
+        std::string code;
+        std::string message;
+        fields.get("baselineMakespan", &frame.baseline.makespan)
+            .get("baselineError", &code)
+            .get("baselineMessage", &message);
+        frame.hasBaseline = true;
+        frame.baseline.status = statusFromWire(code, message);
+    }
+    if (!fields.ok())
+        return fields.status();
+
     std::string error;
-    const auto algorithm =
-        parseAlgorithmSpec(msg.at("algorithm").string, &error);
+    const auto algorithm = parseAlgorithmSpec(algorithm_text, &error);
     if (!algorithm.has_value())
         return Status::invalidSpec(error);
     frame.spec.algorithm = *algorithm;
-
-    const std::string faults_text = msg.at("faults").string;
     if (!faults_text.empty()) {
         frame.faults = FaultPlan::parse(faults_text, &error);
         if (!frame.faults.has_value())
-            return Status::internal(
+            return Status::invalidSpec(
                 "worker fault plan did not parse: " + error);
-    }
-
-    frame.deadlineMs = msg.at("deadlineMs").asInt();
-    frame.retries = msg.at("retries").asInt();
-    if (const JsonValue *die = msg.find("die"))
-        frame.die = die->string;
-    if (const JsonValue *makespan = msg.find("baselineMakespan")) {
-        frame.hasBaseline = true;
-        frame.baseline.status =
-            statusFromWire(msg.at("baselineError").string,
-                           msg.at("baselineMessage").string);
-        frame.baseline.makespan = makespan->asInt();
     }
     return frame;
 }
@@ -695,15 +691,13 @@ StatusOr<JobResult>
 decodeWorkerReply(const std::string &payload)
 {
     const auto parsed = parseJson(payload);
-    if (!parsed.has_value() ||
-        parsed->kind != JsonValue::Kind::Object)
+    if (!parsed.has_value())
         return Status::workerCrashed(
-            "worker protocol error: reply frame is not a JSON object");
+            "worker protocol error: reply frame is not JSON");
     auto result = parseJobResultFields(*parsed);
-    if (!result.has_value())
-        return Status::workerCrashed(
-            "worker protocol error: reply frame is missing result "
-            "fields");
+    if (!result.ok())
+        return Status::workerCrashed("worker protocol error: " +
+                                     result.status().message());
     return std::move(*result);
 }
 
@@ -731,7 +725,7 @@ runJobIsolated(const JobSpec &spec, const JobPolicy &policy,
         return result;
     }
 
-    const int max_attempts = 1 + std::max(0, policy.retries);
+    const int max_attempts = 1 + std::clamp(policy.retries, 0, INT_MAX - 1);
     int consumed = 0;  // attempts burned by dead dispatches
     std::vector<int> backoffs;  // parent-side re-dispatch delays, ms
 

@@ -197,9 +197,9 @@ struct WorkerJobFrame
 /**
  * Inverse of writeWorkerJobFields over a parsed JSON object: the
  * decoder both the forked worker child and the remote worker daemon
- * run on every incoming job frame.  Missing fields, an unparsable
- * algorithm, or a garbled fault plan come back as an InvalidSpec
- * status -- the frame is addressable garbage, never a crash.
+ * run on every incoming job frame.  Missing or mis-typed fields, an
+ * unparsable algorithm, or a garbled fault plan come back as an
+ * InvalidSpec status -- the frame is addressable garbage, never a crash.
  */
 StatusOr<WorkerJobFrame> decodeWorkerJobFields(const JsonValue &msg);
 

@@ -7,28 +7,6 @@
 
 namespace csched {
 
-namespace {
-
-/**
- * Read a non-negative integral id out of a JSON number.  Ids are
- * client correlation handles, not arithmetic values; anything
- * negative or fractional is shape abuse from an untrusted peer.
- */
-bool
-parseId(const JsonValue &value, uint64_t *out)
-{
-    if (value.kind != JsonValue::Kind::Number)
-        return false;
-    if (value.number < 0 ||
-        value.number != static_cast<double>(
-                            static_cast<uint64_t>(value.number)))
-        return false;
-    *out = static_cast<uint64_t>(value.number);
-    return true;
-}
-
-} // namespace
-
 std::string
 encodeServeRequest(const ServeRequest &request)
 {
@@ -56,59 +34,21 @@ decodeServeRequest(const std::string &payload, uint64_t *id_out)
     if (!parsed.has_value())
         return Status::invalidSpec("request frame is not JSON: " +
                                    error);
-    if (parsed->kind != JsonValue::Kind::Object)
-        return Status::invalidSpec(
-            "request frame is not a JSON object");
 
     // Salvage the id first so even a rejected request can be answered
     // under the exactly-one-reply contract.
-    uint64_t id = 0;
-    if (const JsonValue *found = parsed->find("id"))
-        if (parseId(*found, &id) && id_out != nullptr)
-            *id_out = id;
-
-    const JsonValue *schema = parsed->find("schema");
-    if (schema == nullptr ||
-        schema->kind != JsonValue::Kind::String ||
-        schema->string != kServeRequestSchema)
-        return Status::invalidSpec(
-            std::string("request schema is not ") +
-            kServeRequestSchema);
-
-    for (const char *field : {"id", "workload", "machine",
-                              "algorithm"}) {
-        if (parsed->find(field) == nullptr)
-            return Status::invalidSpec(
-                std::string("request is missing '") + field + "'");
-    }
-    const JsonValue &id_value = parsed->at("id");
-    if (!parseId(id_value, &id))
-        return Status::invalidSpec(
-            "request id must be a non-negative integer");
-    for (const char *field : {"workload", "machine", "algorithm"}) {
-        if (parsed->at(field).kind != JsonValue::Kind::String)
-            return Status::invalidSpec(std::string("request '") +
-                                       field + "' must be a string");
-    }
-
     ServeRequest request;
-    request.id = id;
-    request.workload = parsed->at("workload").string;
-    request.machine = parsed->at("machine").string;
-    request.algorithm = parsed->at("algorithm").string;
-    if (const JsonValue *deadline = parsed->find("deadlineMs")) {
-        if (deadline->kind != JsonValue::Kind::Number ||
-            deadline->asInt() < 0)
-            return Status::invalidSpec(
-                "request deadlineMs must be a non-negative integer");
-        request.deadlineMs = deadline->asInt();
-    }
-    if (const JsonValue *speedup = parsed->find("computeSpeedup")) {
-        if (speedup->kind != JsonValue::Kind::Bool)
-            return Status::invalidSpec(
-                "request computeSpeedup must be a boolean");
-        request.computeSpeedup = speedup->boolean;
-    }
+    JsonFields fields(*parsed, "request");
+    if (fields.get("id", &request.id).ok() && id_out != nullptr)
+        *id_out = request.id;
+    fields.expect("schema", kServeRequestSchema)
+        .get("workload", &request.workload)
+        .get("machine", &request.machine)
+        .get("algorithm", &request.algorithm)
+        .optional("deadlineMs", &request.deadlineMs, 0)
+        .optional("computeSpeedup", &request.computeSpeedup);
+    if (!fields.ok())
+        return fields.status();
     return request;
 }
 
@@ -143,38 +83,23 @@ decodeServeResponse(const std::string &payload)
     if (!parsed.has_value())
         return Status::invalidSpec("response frame is not JSON: " +
                                    error);
-    if (parsed->kind != JsonValue::Kind::Object)
-        return Status::invalidSpec(
-            "response frame is not a JSON object");
-    const JsonValue *schema = parsed->find("schema");
-    if (schema == nullptr ||
-        schema->kind != JsonValue::Kind::String ||
-        schema->string != kServeResponseSchema)
-        return Status::invalidSpec(
-            std::string("response schema is not ") +
-            kServeResponseSchema);
-    for (const char *field :
-         {"id", "status", "cached", "coalesced", "result"}) {
-        if (parsed->find(field) == nullptr)
-            return Status::invalidSpec(
-                std::string("response is missing '") + field + "'");
-    }
-
     ServeResponse response;
-    if (!parseId(parsed->at("id"), &response.id))
-        return Status::invalidSpec(
-            "response id must be a non-negative integer");
-    response.status = parsed->at("status").string;
-    response.cached = parsed->at("cached").boolean;
-    response.coalesced = parsed->at("coalesced").boolean;
-    if (const JsonValue *queue = parsed->find("queueMs"))
-        response.queueMs = queue->asDouble();
-    if (const JsonValue *note = parsed->find("serverDiagnostic"))
-        response.serverDiagnostic = note->string;
-    auto result = parseJobResultFields(parsed->at("result"));
-    if (!result.has_value())
-        return Status::invalidSpec(
-            "response result is missing job fields");
+    const JsonValue *result_value = nullptr;
+    JsonFields fields(*parsed, "response");
+    fields.expect("schema", kServeResponseSchema)
+        .get("id", &response.id)
+        .get("status", &response.status)
+        .get("cached", &response.cached)
+        .get("coalesced", &response.coalesced)
+        .optional("queueMs", &response.queueMs)
+        .optional("serverDiagnostic", &response.serverDiagnostic)
+        .get("result", &result_value);
+    if (!fields.ok())
+        return fields.status();
+    auto result = parseJobResultFields(*result_value);
+    if (!result.ok())
+        return Status::invalidSpec("response " +
+                                   result.status().message());
     response.result = std::move(*result);
     return response;
 }

@@ -74,35 +74,37 @@ FaultPlan::parse(const std::string &text, std::string *error)
                             "' has no '=': expected opt=value");
             const std::string name = trim(opt.substr(0, opt_eq));
             const std::string value = trim(opt.substr(opt_eq + 1));
-            try {
-                if (name == "match") {
-                    rule.match = value;
-                } else if (name == "nth") {
-                    rule.nth = std::stoi(value);
-                    if (rule.nth < 1)
-                        return fail("nth must be >= 1, got " + value);
-                } else if (name == "prob") {
-                    rule.probability = std::stod(value);
-                    if (rule.probability < 0.0 || rule.probability > 1.0)
-                        return fail("prob must be in [0, 1], got " +
-                                    value);
-                } else if (name == "seed") {
-                    rule.seed = std::stoull(value);
-                } else if (name == "ms") {
-                    rule.slowMs = std::stoi(value);
-                    if (rule.slowMs < 0)
-                        return fail("ms must be >= 0, got " + value);
-                } else if (name == "code") {
-                    const auto code = parseErrorCodeName(value);
-                    if (!code.has_value())
-                        return fail("unknown error code '" + value + "'");
-                    rule.code = *code;
-                } else {
-                    return fail("unknown fault option '" + name + "'");
-                }
-            } catch (...) {
-                return fail("malformed value in fault option '" + opt +
-                            "'");
+            if (name == "match") {
+                rule.match = value;
+            } else if (name == "nth") {
+                const auto nth = parseNonNegativeIntFlag(value);
+                if (nth.value_or(0) < 1)
+                    return fail("nth must be an integer >= 1, got " +
+                                value);
+                rule.nth = *nth;
+            } else if (name == "prob") {
+                const auto prob = parseFiniteDoubleFlag(value);
+                if (!prob.has_value() || *prob < 0.0 || *prob > 1.0)
+                    return fail("prob must be in [0, 1], got " + value);
+                rule.probability = *prob;
+            } else if (name == "seed") {
+                const auto seed = parseUint64Flag(value);
+                if (!seed.has_value())
+                    return fail("seed must be an unsigned integer, got " +
+                                value);
+                rule.seed = *seed;
+            } else if (name == "ms") {
+                const auto ms = parseNonNegativeIntFlag(value);
+                if (!ms.has_value())
+                    return fail("ms must be an integer >= 0, got " + value);
+                rule.slowMs = *ms;
+            } else if (name == "code") {
+                const auto code = parseErrorCodeName(value);
+                if (!code.has_value())
+                    return fail("unknown error code '" + value + "'");
+                rule.code = *code;
+            } else {
+                return fail("unknown fault option '" + name + "'");
             }
         }
         plan.add(std::move(rule));

@@ -292,6 +292,52 @@ JsonValue::asDouble() const
     return number;
 }
 
+// ---- typed field reader --------------------------------------------
+
+JsonFields::JsonFields(const JsonValue &object, std::string what)
+    : object_(object), what_(std::move(what))
+{
+    if (object.kind != JsonValue::Kind::Object)
+        status_ = Status::invalidSpec(what_ + " is not a JSON object");
+}
+
+const JsonValue *
+JsonFields::member(const char *name, bool required)
+{
+    const JsonValue *value = ok() ? object_.find(name) : nullptr;
+    if (value == nullptr && required && ok())
+        status_ = Status::invalidSpec(what_ + " is missing '" + name +
+                                      "'");
+    return value;
+}
+
+JsonFields &
+JsonFields::mistyped(const char *name, const char *expected)
+{
+    status_ = Status::invalidSpec(what_ + " '" + name + "' must be " +
+                                  expected);
+    return *this;
+}
+
+bool
+JsonFields::whole(const JsonValue &value, double min, int digits)
+{
+    // NaN fails every comparison, so it never reaches a cast.
+    return value.kind == JsonValue::Kind::Number &&
+           value.number >= min && value.number < std::ldexp(1.0, digits) &&
+           std::trunc(value.number) == value.number;
+}
+
+JsonFields &
+JsonFields::expect(const char *name, const std::string &value)
+{
+    std::string found;
+    if (get(name, &found).ok() && found != value)
+        status_ = Status::invalidSpec(what_ + " '" + name + "' is not " +
+                                      value);
+    return *this;
+}
+
 // ---- parser --------------------------------------------------------
 
 namespace {

@@ -11,14 +11,20 @@
 #ifndef CSCHED_SUPPORT_JSON_HH
 #define CSCHED_SUPPORT_JSON_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "support/status.hh"
 
 namespace csched {
 
@@ -109,7 +115,7 @@ struct JsonValue
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &name) const;
 
-    /** Object member access; fatal when absent (malformed report). */
+    /** Object member access; fatal when absent (tests only). */
     const JsonValue &at(const std::string &name) const;
 
     int asInt() const;
@@ -124,6 +130,107 @@ struct JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text,
                                    std::string *error = nullptr);
+
+/**
+ * Typed reads of the members of one parsed JSON object: the one place
+ * where outside input (a peer's frame, a journal line, a stream trace,
+ * a bench baseline) is checked before a decoder uses it.  Reads chain
+ * and the first failure sticks, so a decoder reads every member and
+ * checks status() once.  get() requires the member; optional() leaves
+ * *out untouched when it is absent.  *out is a std::string, bool,
+ * finite double, int, int64_t or uint64_t (whole, in range of the type
+ * and >= @p min, checked before any cast), std::vector<int>, or a
+ * pointer to an object (const JsonValue *) or an array (const
+ * std::vector<JsonValue> *).  A failure is an InvalidSpec status that
+ * names the member: "request 'deadlineMs' must be a non-negative
+ * integer".
+ */
+class JsonFields
+{
+  public:
+    /** @p what names the object in messages; a non-object fails. */
+    JsonFields(const JsonValue &object, std::string what);
+
+    template <typename T>
+    JsonFields &
+    get(const char *name, T *out, int64_t min = INT64_MIN)
+    {
+        return read(name, true, out, min);
+    }
+
+    template <typename T>
+    JsonFields &
+    optional(const char *name, T *out, int64_t min = INT64_MIN)
+    {
+        return read(name, false, out, min);
+    }
+
+    /** A string member that must equal @p value, e.g. a schema tag. */
+    JsonFields &expect(const char *name, const std::string &value);
+
+    bool ok() const { return status_.ok(); }
+    const Status &status() const { return status_; }
+
+  private:
+    /** Member @p name; nullptr when absent (an error if required). */
+    const JsonValue *member(const char *name, bool required);
+    JsonFields &mistyped(const char *name, const char *expected);
+    /** Whether @p value is a whole number in [min, 2^digits). */
+    static bool whole(const JsonValue &value, double min, int digits);
+
+    template <typename T>
+    JsonFields &
+    read(const char *name, bool required, T *out, int64_t min)
+    {
+        using Kind = JsonValue::Kind;
+        const JsonValue *v = member(name, required);
+        if (v == nullptr)
+            return *this;
+        if constexpr (std::is_same_v<T, std::string>) {
+            if (v->kind != Kind::String)
+                return mistyped(name, "a string");
+            *out = v->string;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            if (v->kind != Kind::Bool)
+                return mistyped(name, "a boolean");
+            *out = v->boolean;
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (v->kind != Kind::Number || !std::isfinite(v->number))
+                return mistyped(name, "a finite number");
+            *out = v->number;
+        } else if constexpr (std::is_integral_v<T>) {
+            using Limits = std::numeric_limits<T>;
+            const double lower = std::max<double>(min, Limits::lowest());
+            if (!whole(*v, lower, Limits::digits))
+                return mistyped(name, lower == 0   ? "a non-negative integer"
+                                      : lower == 1 ? "a positive integer"
+                                                   : "an integer");
+            *out = static_cast<T>(v->number);
+        } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+            if (v->kind != Kind::Array)
+                return mistyped(name, "an array of integers");
+            out->clear();
+            for (const JsonValue &entry : v->array) {
+                if (!whole(entry, INT32_MIN, 31))
+                    return mistyped(name, "an array of integers");
+                out->push_back(static_cast<int>(entry.number));
+            }
+        } else {
+            constexpr bool object = std::is_same_v<T, const JsonValue *>;
+            if (v->kind != (object ? Kind::Object : Kind::Array))
+                return mistyped(name, object ? "an object" : "an array");
+            if constexpr (object)
+                *out = v;
+            else
+                *out = &v->array;
+        }
+        return *this;
+    }
+
+    const JsonValue &object_;
+    std::string what_;
+    Status status_;
+};
 
 } // namespace csched
 

@@ -1,6 +1,8 @@
 #include "support/str.hh"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace csched {
@@ -78,17 +80,40 @@ fnv1aHash(const std::string &text)
     return hash;
 }
 
+namespace {
+
+/** @p text parsed by from_chars; nullopt unless all of it is consumed. */
+template <typename T>
+std::optional<T>
+parseWhole(const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc() && ptr == end ? std::optional(value)
+                                           : std::nullopt;
+}
+
+} // namespace
+
 std::optional<int>
 parseNonNegativeIntFlag(const std::string &text)
 {
-    try {
-        std::size_t used = 0;
-        const int value = std::stoi(text, &used);
-        if (used == text.size() && value >= 0)
-            return value;
-    } catch (...) {
-    }
-    return std::nullopt;
+    const auto value = parseWhole<int>(text);
+    return value.value_or(-1) >= 0 ? value : std::nullopt;
+}
+
+std::optional<uint64_t>
+parseUint64Flag(const std::string &text)
+{
+    return parseWhole<uint64_t>(text);
+}
+
+std::optional<double>
+parseFiniteDoubleFlag(const std::string &text)
+{
+    const auto value = parseWhole<double>(text);
+    return value.has_value() && std::isfinite(*value) ? value : std::nullopt;
 }
 
 } // namespace csched

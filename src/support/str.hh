@@ -38,11 +38,15 @@ std::string formatDouble(double value, int decimals);
 uint64_t fnv1aHash(const std::string &text);
 
 /**
- * Strict parse of a non-negative int command-line value: the whole of
- * @p text must be consumed ("2abc" and "-1" are rejected).  nullopt on
- * anything else.  Every tool parses its integer flags through this.
+ * Strict parses of a command-line or rule value: the whole of @p text
+ * must be consumed ("2abc", " 2" and "+2" are rejected), and a value
+ * out of range of the type, a negative int or a non-finite double
+ * ("nan", "inf") is nullopt.  Every tool parses its numeric flags
+ * through these, as do fault rules, --dist-opts and policy options.
  */
 std::optional<int> parseNonNegativeIntFlag(const std::string &text);
+std::optional<uint64_t> parseUint64Flag(const std::string &text);
+std::optional<double> parseFiniteDoubleFlag(const std::string &text);
 
 } // namespace csched
 

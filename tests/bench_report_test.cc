@@ -68,6 +68,36 @@ TEST(BenchReport, KernelCellsKeyOnKernelName)
     EXPECT_EQ(cell.key(), "mxm/vliw4/COMM.2");
 }
 
+TEST(BenchReport, KernelCellsOfTwoAlgorithmSpecsJoinApart)
+{
+    // fir/vliw2/convergent and fir/vliw2/convergent:INITTIME both run
+    // INITTIME, at different speeds.
+    BenchReport baseline;
+    baseline.kind = "pass-kernels";
+    for (const char *algorithm : {"convergent", "convergent:INITTIME"}) {
+        BenchCell cell;
+        cell.workload = "fir";
+        cell.machine = "vliw2";
+        cell.kernel = "INITTIME";
+        cell.algorithm = algorithm;
+        baseline.cells.push_back(cell);
+    }
+    baseline.cells[0].medianSeconds = 1.0;
+    baseline.cells[1].medianSeconds = 5.0;
+    EXPECT_EQ(baseline.cells[0].key(), "fir/vliw2/convergent/INITTIME");
+    EXPECT_EQ(baseline.cells[1].key(),
+              "fir/vliw2/convergent:INITTIME/INITTIME");
+
+    // The first cell doubled.  Joined against the other cell's 5 s
+    // baseline, as a shared key would, it would pass as faster.
+    BenchReport current = baseline;
+    current.cells[0].medianSeconds = 2.0;
+    std::ostringstream out;
+    EXPECT_FALSE(compareBenchReports(baseline, current,
+                                     BenchCompareOptions{}, out))
+        << out.str();
+}
+
 TEST(BenchReport, ParserRejectsOtherSchemas)
 {
     std::string error;
@@ -85,6 +115,14 @@ TEST(BenchReport, ParserRequiresCellKeyAndMedian)
     std::string error;
     EXPECT_FALSE(parseBenchReport(json, &error).has_value());
     EXPECT_NE(error.find("medianSeconds"), std::string::npos);
+
+    const std::string mistyped =
+        "{\"schema\": \"csched-bench-report-v1\", \"kind\": "
+        "\"end-to-end\", \"cells\": [{\"workload\": \"mxm\", "
+        "\"machine\": \"vliw4\", \"medianSeconds\": \"x\"}]}";
+    error.clear();
+    EXPECT_FALSE(parseBenchReport(mistyped, &error).has_value());
+    EXPECT_NE(error.find("medianSeconds"), std::string::npos) << error;
 }
 
 TEST(BenchReport, MissingMinSecondsStaysAbsent)

@@ -101,6 +101,17 @@ deterministicJson(const GridReport &report)
     return gridReportToJson(report, options);
 }
 
+/** @p frame with the first @p from replaced by @p to: one field retyped. */
+std::string
+retyped(std::string frame, const std::string &from, const std::string &to)
+{
+    const size_t at = frame.find(from);
+    EXPECT_NE(at, std::string::npos) << from << " not in " << frame;
+    if (at != std::string::npos)
+        frame.replace(at, from.size(), to);
+    return frame;
+}
+
 JobSpec
 smallJob()
 {
@@ -262,7 +273,7 @@ TEST(DistProtocol, ResultRoundTrips)
 
 TEST(DistProtocol, HostileBytesComeBackClassifiedNeverThrow)
 {
-    const std::vector<std::string> hostile = {
+    std::vector<std::string> hostile = {
         "",                                  // empty
         "not json at all",                   // not JSON
         "{}",                                // no schema
@@ -275,6 +286,25 @@ TEST(DistProtocol, HostileBytesComeBackClassifiedNeverThrow)
         "{\"schema\": \"csched-dist-v1\", \"type\": \"welcome\","
         " \"capacity\": \"lots\"}",          // mis-typed field
     };
+    // Complete frames with one field of the wrong type or out of
+    // range: the reader rejects each before any cast.
+    JobPolicy policy;
+    const std::string job =
+        encodeDistJob(1, smallJob(), policy, 0, nullptr);
+    JobResult result;
+    result.workload = "fir";
+    result.assignment = {0, 1};
+    const std::string reply = encodeDistResult(1, result);
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"deadlineMs\": 0", "\"deadlineMs\": \"x\""},
+             {"\"retries\": 0", "\"retries\": 1e300"},
+             {"\"id\": 1", "\"id\": 1.5"}})
+        hostile.push_back(retyped(job, from, to));
+    hostile.push_back(
+        retyped(reply, "\"attempts\": 1", "\"attempts\": \"one\""));
+    hostile.push_back(retyped(reply, "\"assignment\": [0, 1]",
+                              "\"assignment\": [\"a\"]"));
     for (const auto &payload : hostile) {
         const auto decoded = decodeDistMessage(payload);
         EXPECT_FALSE(decoded.ok()) << "accepted: " << payload;
@@ -307,6 +337,10 @@ TEST(DistOptionsGrammar, RejectsUnknownKeysAndBadValues)
     EXPECT_FALSE(
         DistOptions::applyOverrides(&options, "liveness-timeout-ms")
             .ok());
+    // A value that overflows int is rejected, not wrapped.
+    EXPECT_FALSE(DistOptions::applyOverrides(
+                     &options, "liveness-timeout-ms=99999999999")
+                     .ok());
 }
 
 // --- Daemon vs hostile peers ------------------------------------------
@@ -350,6 +384,20 @@ TEST(WorkerdHardening, SurvivesGarbageAndOversizedFrames)
         ::close(fd);
     }
 
+    // A welcomed peer whose job frame carries a mis-typed field.
+    {
+        const int fd = handshake();
+        JobPolicy policy;
+        const std::string job =
+            encodeDistJob(2, smallJob(), policy, 0, nullptr);
+        ASSERT_TRUE(writeFrame(fd, retyped(job, "\"deadlineMs\": 0",
+                                           "\"deadlineMs\": \"x\""))
+                        .ok());
+        const auto reply = readFrame(fd, 3000, kDistMaxFrameBytes);
+        EXPECT_NE(reply.kind, FrameResult::Kind::Payload);
+        ::close(fd);
+    }
+
     // A welcomed peer probing with a huge length prefix (no body).
     {
         const int fd = handshake();
@@ -369,7 +417,7 @@ TEST(WorkerdHardening, SurvivesGarbageAndOversizedFrames)
     EXPECT_TRUE(eventually([&] {
         const auto stats = server.stats();
         return stats.handshakeFailures >= 1 &&
-               stats.invalidMessages >= 1 &&
+               stats.invalidMessages >= 2 &&
                stats.oversizedFrames >= 1;
     })) << "hostile frames were not classified";
 

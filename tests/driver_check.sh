@@ -1,11 +1,12 @@
 #!/bin/sh
 # driver_check.sh TOOLS_DIR -- drive the built csched_cli and
 # csched_bench and check the contracts of their shared grid front end:
-# both reject a malformed integer flag as a usage error, csched_cli
-# runs every registered workload (perf DAGs included) through the grid,
-# refuses schedule views that an isolated run cannot keep, reports the
-# same deterministic job fields as csched_bench suite for one cell, and
-# replays an emitted stream trace to the same weighted completion.
+# both reject a malformed integer flag, fault-rule value or --dist-opts
+# value as a usage error, csched_cli runs every registered workload
+# (perf DAGs included) through the grid, refuses schedule views that an
+# isolated run cannot keep, reports the same deterministic job fields
+# as csched_bench suite for one cell, and replays an emitted stream
+# trace to the same weighted completion.
 # csched_bench perf writes its five bench documents and its --check
 # gate finds (or misses) its baselines.
 # The two daemons, csched_serve and csched_workerd, share one flag
@@ -52,6 +53,16 @@ expect() {
 expect 2 "csched_cli --jobs 2abc" "$cli" --jobs 2abc
 expect 2 "csched_bench suite --jobs 2abc" \
     "$bench" suite --workloads fir --jobs 2abc
+# Fault-rule and --dist-opts values are parsed as strictly: trailing
+# junk, NaN and an int overflow are usage errors, before any job runs.
+for rule in nth=2abc prob=nan; do
+    expect 2 "csched_bench suite --inject $rule" "$bench" suite \
+        --workloads fir --machines vliw2 \
+        --inject "pass.apply=fail:$rule:match=nothing"
+done
+expect 2 "csched_bench suite --dist-opts overflow" "$bench" suite \
+    --workloads fir --machines vliw2 --hosts 127.0.0.1:1 \
+    --dist-opts liveness-timeout-ms=99999999999
 expect 0 "csched_cli on a perf workload" \
     "$cli" --workload synth-narrow-2k --machine vliw2 \
     --json "$tmp/perf.json"
@@ -106,11 +117,12 @@ done
 
 # One small perf run writes all five documents; the pass-kernel cells
 # come from the convergent end-to-end cell only (uas leaves no trace),
-# one timed sample each.  The documents are written before --check
-# reads its baselines, so a run gated against its own output directory
-# compares every cell with itself and passes.  A missing baseline
-# document fails the gate; that run's threshold is one no timing noise
-# reaches, so it fails on the missing file alone.
+# one timed sample each, and carry its algorithm spec.  The documents
+# are written before --check reads its baselines, so a run gated
+# against its own output directory compares every cell with itself and
+# passes.  A missing baseline document fails the gate; that run's
+# threshold is one no timing noise reaches, so it fails on the missing
+# file alone.
 perf_cells="--repeats 1 --cells fir/vliw2,fir/vliw2/uas"
 perf_online="$stream/vliw2/online-sp"
 # shellcheck disable=SC2086
@@ -149,8 +161,8 @@ if e2e != [("fir", "vliw2", "convergent"), ("fir", "vliw2", "uas")]:
 kernels = docs["pass_kernels"]["cells"]
 names = [c.get("kernel") for c in kernels]
 if not kernels or len(set(names)) != len(names) or any(
-        (c["workload"], c["machine"], c["reps"]) != ("fir", "vliw2", 1)
-        or "algorithm" in c for c in kernels):
+        (c["workload"], c["machine"], c.get("algorithm"), c["reps"]) !=
+        ("fir", "vliw2", "convergent", 1) for c in kernels):
     fail("pass-kernel cells are not one set for fir/vliw2/convergent "
          "with reps 1: %r" % kernels)
 EOF_PY

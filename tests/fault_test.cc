@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 
 #include "eval/experiment.hh"
@@ -79,7 +80,12 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     for (const char *bad :
          {"no-equals", "=fail", "p=explode", "p=fail:nth=0",
           "p=fail:prob=1.5", "p=fail:code=nonesuch", "p=fail:bogus=1",
-          "p=fail:ms"}) {
+          "p=fail:ms",
+          // Values are parsed whole and strictly: no trailing junk,
+          // no overflow, no NaN slipping past the range check.
+          "p=fail:nth=2abc", "p=fail:nth=99999999999", "p=fail:prob=nan",
+          "p=fail:prob=0.5x", "p=fail:seed=-1", "p=fail:seed=1e3",
+          "p=slow:ms=5ms"}) {
         std::string error;
         EXPECT_FALSE(FaultPlan::parse(bad, &error).has_value()) << bad;
         EXPECT_FALSE(error.empty()) << bad;
@@ -178,6 +184,11 @@ TEST(RunJob, TransientFaultIsHealedByRetry)
     EXPECT_TRUE(result.retriedThenOk());
     EXPECT_TRUE(result.diagnostic.empty());
     EXPECT_GT(result.makespan, 0);
+
+    // The largest budget a job frame can carry: counting the first
+    // attempt on top of it must not overflow int.
+    policy.retries = std::numeric_limits<int>::max();
+    EXPECT_EQ(runJob(vvmulJob(), policy).attempts, 2);
 }
 
 TEST(RunJob, InjectedTimeoutBecomesTimeoutOutcome)

@@ -228,21 +228,28 @@ TEST(Resume, ToleratesTruncatedAndGarbageTrailingRecords)
     ASSERT_TRUE(partial.interrupted);
     ASSERT_GT(partial.summary.ok, 0);
 
-    // Simulate a crash mid-append: a garbled line plus a record cut
-    // off halfway, with no trailing newline.
+    // Simulate a crash mid-append: a garbled line, a well-formed
+    // record with a mis-typed field, and a record cut off halfway,
+    // with no trailing newline.
     {
         std::ofstream out(path, std::ios::app);
         out << "{\"key\": \"not even json\n";
         const auto jobs = expandGrid(interrupted);
         const std::string line =
             journalRecordLine(jobs[0], partial.results[0]);
+        const std::string attempts = "\"attempts\": 1";
+        const size_t at = line.find(attempts);
+        ASSERT_NE(at, std::string::npos) << line;
+        std::string mistyped = line;
+        mistyped.replace(at, attempts.size(), "\"attempts\": \"one\"");
+        out << mistyped << "\n";
         out << line.substr(0, line.size() / 2);
     }
 
     const auto replay =
         loadJournal(path, gridFingerprint(interrupted));
     ASSERT_TRUE(replay.ok()) << replay.status().toString();
-    EXPECT_EQ(replay->ignoredLines, 2);
+    EXPECT_EQ(replay->ignoredLines, 3);
 
     clearInterrupt();
     auto resumed_grid = smallGrid();

@@ -177,6 +177,19 @@ TEST(ArrivalStream, RejectsMalformedSpecsAndTraces)
         "{\"id\": 1, \"workload\": \"fir\", \"release\": 5, "
         "\"weight\": 1, \"deadline\": -1}\n";
     EXPECT_FALSE(parseStreamTrace(bad_order).ok());
+
+    // A mis-typed field is a spec error, not an abort.
+    const std::string bad_type =
+        "{\"schema\": \"csched-stream-v1\", \"spec\": \"x\", "
+        "\"count\": 1}\n"
+        "{\"id\": 0, \"workload\": \"fir\", \"release\": \"soon\", "
+        "\"weight\": 1, \"deadline\": -1}\n";
+    const auto mistyped = parseStreamTrace(bad_type);
+    ASSERT_FALSE(mistyped.ok());
+    EXPECT_EQ(mistyped.status().code(), ErrorCode::InvalidSpec);
+    EXPECT_NE(mistyped.status().message().find("release"),
+              std::string::npos)
+        << mistyped.status().toString();
 }
 
 TEST(OnlinePolicy, ParsesNamesAndOptions)

@@ -177,6 +177,20 @@ TEST(ServeProtocol, DecodeNamesTheDefectAndSalvagesTheId)
     EXPECT_FALSE(bad.ok());
     EXPECT_NE(bad.status().message().find("non-negative"),
               std::string::npos);
+
+    // An out-of-range number is rejected before any cast to int.
+    salvaged = 0;
+    bad = decodeServeRequest(
+        "{\"schema\":\"csched-serve-request-v1\",\"id\":5,"
+        "\"workload\":\"vvmul\",\"machine\":\"vliw2\","
+        "\"algorithm\":\"uas\",\"deadlineMs\":1e300}",
+        &salvaged);
+    EXPECT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidSpec);
+    EXPECT_EQ(salvaged, 5u);
+    EXPECT_NE(bad.status().message().find("deadlineMs"),
+              std::string::npos)
+        << bad.status().toString();
 }
 
 TEST(ServeProtocol, ResponseRoundTripsTheEmbeddedResult)

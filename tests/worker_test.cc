@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <csignal>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -22,6 +25,7 @@
 #include "runner/shutdown.hh"
 #include "runner/worker.hh"
 #include "support/fault_injection.hh"
+#include "support/json.hh"
 #include "support/subprocess.hh"
 
 namespace csched {
@@ -181,13 +185,31 @@ TEST(FrameProtocol, PeerStallingMidFrameIsMalformedNotAHang)
 TEST(WorkerProtocol, GarbageRepliesBecomeWorkerCrashed)
 {
     // None of these may hang, throw, or be mistaken for a result.
-    const std::string garbage_frames[] = {
+    std::vector<std::string> garbage_frames = {
         "",                         // empty frame
         "not json at all",          // lexical garbage
         "[1, 2, 3]",                // valid JSON, wrong shape
         "{\"workload\": \"fir\"}",  // object missing result fields
         std::string("\x00\xff junk", 7),  // binary noise
     };
+    // A complete reply with one field of the wrong type.
+    JobResult result;
+    result.workload = "fir";
+    result.makespan = 7;
+    std::ostringstream out;
+    {
+        JsonWriter w(out);
+        w.beginObject();
+        writeJobResultFields(w, result);
+        w.endObject();
+    }
+    std::string mistyped = compactJson(out.str());
+    const std::string makespan = "\"makespan\": 7";
+    const size_t at = mistyped.find(makespan);
+    ASSERT_NE(at, std::string::npos) << mistyped;
+    garbage_frames.push_back(mistyped.replace(
+        at, makespan.size(), "\"makespan\": \"seven\""));
+
     for (const auto &payload : garbage_frames) {
         const auto decoded = decodeWorkerReply(payload);
         ASSERT_FALSE(decoded.ok()) << "payload: " << payload;
@@ -238,6 +260,13 @@ TEST(Isolation, ReportBytesIdenticalToInProcessRun)
                   deterministicJson(baseline))
             << "--isolate changed the report at --jobs " << jobs;
     }
+    // The largest deadline a request or job frame can carry: the
+    // watchdog budget derived from it must not overflow.
+    auto grid = smallGrid(1);
+    grid.isolate = true;
+    grid.deadlineMs = std::numeric_limits<int>::max();
+    EXPECT_EQ(deterministicJson(runGrid(grid)),
+              deterministicJson(baseline));
 }
 
 /** The containment grid: one cell segfaults, one hangs, one OOMs. */

@@ -119,7 +119,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -586,12 +585,10 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--threshold") {
-            const std::string text = next();
-            char *end = nullptr;
-            threshold = std::strtod(text.c_str(), &end);
-            if (text.empty() || *end != '\0' || !std::isfinite(threshold) ||
-                threshold < 0.0)
+            const auto parsed = parseFiniteDoubleFlag(next());
+            if (!parsed.has_value() || *parsed < 0.0)
                 usage(argv0, "--threshold must be a non-negative number");
+            threshold = *parsed;
         } else if (arg == "--cells") {
             cells_arg = next();
         } else if (arg == "--online-cells") {
@@ -681,8 +678,8 @@ runPerf(const char *argv0, const std::vector<std::string> &args)
         docs[kEndToEnd].report.cells.push_back(cell);
         const auto names = kernelNames(traces.back());
         for (size_t k = 0; k < names.size(); ++k) {
-            BenchCell kernel =
-                benchCell(spec.workload, spec.machine, names[k]);
+            BenchCell kernel = benchCell(spec.workload, spec.machine,
+                                         names[k], spec.algorithm);
             std::vector<double> seconds;
             for (size_t rep = 1; rep < traces.size(); ++rep)
                 seconds.push_back(traces[rep][k].seconds);  // [0]: warm-up
