@@ -90,14 +90,13 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
     // front (zero + renormalize): passes then redistribute preference
     // mass among alive clusters only, and INITTIME's capability
     // masking keeps the columns zero for the rest of the pipeline.
+    // Every row still shares the initial row here, so this masks that
+    // one row.
     if (machine_.degraded()) {
-        for (InstrId i = 0; i < n; ++i) {
-            auto row = weights.row(i);
-            for (int c = 0; c < machine_.numClusters(); ++c)
-                if (!machine_.clusterAlive(c))
-                    row.zeroCluster(c);
-            row.normalize();
-        }
+        for (int c = 0; c < machine_.numClusters(); ++c)
+            if (!machine_.clusterAlive(c))
+                weights.zeroClusterAll(c);
+        weights.normalizeAll();
     }
     Rng rng(params_.noiseSeed);
     PassContext ctx{graph, machine_, weights, params_, rng};
@@ -108,9 +107,8 @@ ConvergentScheduler::schedule(const DependenceGraph &graph) const
 
     std::vector<int> before = weights.preferredClusters();
     // The rollback snapshot lives outside the pass loop so that each
-    // iteration copy-assigns into the same allocation; on large units
-    // the matrix arena runs to hundreds of megabytes, and re-mallocing
-    // (and re-faulting) it per pass would dominate the pipeline.
+    // iteration copy-assigns into the same allocation.  The matrix is
+    // window-compact, so a snapshot copies only the windows rows hold.
     PreferenceMatrix snapshot = weights;
     for (const auto &pass : passes_) {
         checkpoint("pass.apply");

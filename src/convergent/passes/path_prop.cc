@@ -38,14 +38,18 @@ class PathPropPass : public Pass
 
         // Select propagators: confident instructions, most confident
         // first so the strongest signals win the blends they touch.
+        // No row changes before the sort, so each row's confidence is
+        // computed once.
+        std::vector<double> confidence(n);
         std::vector<InstrId> selected;
-        for (InstrId i = 0; i < n; ++i)
-            if (weights.confidence(i) >= ctx.params.pathPropConfidence)
+        for (InstrId i = 0; i < n; ++i) {
+            confidence[i] = weights.confidence(i);
+            if (confidence[i] >= ctx.params.pathPropConfidence)
                 selected.push_back(i);
+        }
         std::stable_sort(selected.begin(), selected.end(),
                          [&](InstrId a, InstrId b) {
-                             return weights.confidence(a) >
-                                    weights.confidence(b);
+                             return confidence[a] > confidence[b];
                          });
 
         for (InstrId source : selected) {

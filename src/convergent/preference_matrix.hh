@@ -2,10 +2,10 @@
  * @file
  * The convergent-scheduling preference matrix (Section 3 of the paper).
  *
- * Preferences are stored as a three-dimensional weight matrix
- * W[i][t][c] over instructions, time slots, and clusters, with as many
- * time slots as the critical-path length.  The class maintains the
- * paper's invariants
+ * Preferences are a three-dimensional weight matrix W[i][t][c] over
+ * instructions, time slots, and clusters, with as many time slots as
+ * the critical-path length.  The class maintains the paper's
+ * invariants
  *
  *     0 <= W[i][t][c] <= 1      and      sum_{t,c} W[i][t][c] = 1
  *
@@ -14,45 +14,48 @@
  * runner-up cluster, and confidence (the ratio of the top two cluster
  * marginals).
  *
- * Engine layout (see DESIGN.md section 10).  One arena allocation
- * backs the whole engine; per instruction the (time x cluster) row is
- * stored cluster-blocked,
+ * Engine layout (see DESIGN.md section 10).  Every row carries a
+ * feasible time window [lo, hi): every slot outside the window is
+ * exactly +0.0, so only the window is stored.  One arena holds the
+ * rows; a per-row table gives each row's offset and window, and
+ * inside its extent a row is cluster-blocked over its window,
  *
- *     data[i * C*T + c * T + t]
+ *     data[off + c * w + (t - lo)]        (w = hi - lo)
  *
- * so the inner dimension of the hottest batched operation
- * (scaleCluster, the per-cluster multiply behind almost every pass)
- * is a contiguous T-long block instead of a stride-C walk.  Marginal
- * caches live in the same arena and are maintained incrementally:
- * scaleCluster refreshes exactly the one touched cluster sum while it
- * multiplies, scaleTime refreshes exactly the one touched time sum,
- * and only genuinely row-wide mutations invalidate a side wholesale.
+ * followed by the row's w time sums (the time-marginal cache).  The
+ * inner dimension of the hottest batched operation (scaleCluster)
+ * is therefore one contiguous w-long block.  Space sums are cached
+ * per row beside the table; scaleCluster refreshes exactly the one
+ * touched cluster sum while it multiplies, scaleTime exactly the one
+ * touched time sum, and only row-wide mutations invalidate a side.
  *
- * Rows additionally carry a feasible time window [lo, hi): every slot
- * outside the window is exactly +0.0, and every batched kernel
- * iterates the window only.  INITTIME establishes the windows from
- * the earliest-start/latest-finish slack, after which long narrow
- * graphs (fpppp, sha shapes) touch a small fraction of each row.
- * Skipping exact zeros is bit-transparent: weights are non-negative,
- * x + (+0.0) == x and (+0.0) * f == +0.0 bitwise, so windowed sums
- * and scales produce bit-identical results to full-row walks (the
- * differential test in tests/matrix_differential_test.cc holds the
- * engine to that).
+ * Copy-on-write start.  A fresh matrix stores one row: the shared
+ * initial row, uniform over [0, T).  Every instruction starts as a
+ * reference to it, and a row's first mutation gives it its own
+ * extent holding only what that mutation needs -- restrictTimeWindow
+ * copies just the narrowed window, so INITTIME never builds the dense
+ * N x T x C matrix.  Whole-matrix operations (zeroClusterAll,
+ * normalizeAll) apply to the shared row once on behalf of every row
+ * still referencing it.  A mutation that widens a row (set, blendFrom,
+ * normalize's reset to uniform) moves the row to the end of the arena;
+ * when the dead space left behind exceeds the live part the arena is
+ * compacted.  A copy of the matrix -- the scheduler's per-pass
+ * rollback snapshot -- thus copies only the windows rows hold.
+ *
+ * Skipping the slots outside a window is bit-transparent: weights are
+ * non-negative, x + (+0.0) == x and (+0.0) * f == +0.0 bitwise, so
+ * windowed sums and scales produce the bits a full-row walk would
+ * (tests/matrix_differential_test.cc holds the engine to that against
+ * the dense reference).  Every summation a kernel performs keeps the
+ * order of the dense engine (space marginals ascend t per cluster,
+ * time marginals ascend c per slot, normalize ascends t-major).
  *
  * Mutation goes through RowView, a cursor that validates the row
  * index once and then applies fused batched kernels with no
- * per-element dispatch or bounds rechecks.  (The per-element
- * matrix-level mutators that bridged the rewrite are gone; their
- * one-release deprecation window has closed, and ci.sh builds with
- * -Werror=deprecated-declarations to keep such shims out.)  The
- * per-element read path at() is the supported compatibility surface
- * for traces and JSON emitters.
- *
- * Every summation a kernel performs accumulates in the exact order
- * the pre-rewrite engine used (space marginals ascend t per cluster,
- * time marginals ascend c per slot, normalize ascends t-major), so
- * the rewrite is bit-identical by construction, not just
- * approximately equal.
+ * per-element dispatch or bounds rechecks.  The per-element read path
+ * at() is the supported compatibility surface for traces and JSON
+ * emitters.  A span a cursor hands out (windowSpan) stays valid only
+ * until the next mutation of the matrix, which may move rows.
  */
 
 #ifndef CSCHED_CONVERGENT_PREFERENCE_MATRIX_HH
@@ -69,7 +72,7 @@ namespace csched {
 
 class Rng;
 
-/** Dense per-instruction (time x cluster) weight matrix. */
+/** Per-instruction (time x cluster) weights, stored window-compact. */
 class PreferenceMatrix
 {
   public:
@@ -105,6 +108,18 @@ class PreferenceMatrix
 
     /** normalize() every instruction. */
     void normalizeAll();
+
+    /**
+     * zeroCluster(@p c) on every instruction: one fill of the shared
+     * initial row covers every row that still references it.
+     */
+    void zeroClusterAll(int c);
+
+    /**
+     * Doubles the arena holds, live and dead: what a copy of the
+     * matrix copies.
+     */
+    size_t storedDoubles() const { return arena_.size(); }
 
     /** Sum over time of W[i][.][c]. */
     double spaceMarginal(InstrId i, int c) const;
@@ -148,40 +163,77 @@ class PreferenceMatrix
     friend class RowView;
     friend class ConstRowView;
 
+    /** Where a row lives in the arena, and its feasible window. */
+    struct Extent
+    {
+        size_t off; ///< C blocks of w weights, then w time sums
+        int lo;
+        int hi;
+    };
+
+    // Per-row state bits (flags_).
+    static constexpr uint8_t kSpaceValid = 1; ///< space sums current
+    static constexpr uint8_t kTimeValid = 2;  ///< time sums current
+    static constexpr uint8_t kClean = 4;      ///< normalized, untouched
+    static constexpr uint8_t kShared = 8;     ///< references row N
+
     void checkInstr(InstrId i) const;
     void checkIndex(InstrId i, int t, int c) const;
 
-    double *rowData(InstrId i) { return arena_.data() + dataOff(i); }
-    const double *
-    rowData(InstrId i) const
+    /**
+     * The row whose extent, flags and caches stand for instruction
+     * @p i: @p i itself, or the shared initial row (index N) while
+     * @p i still references it.
+     */
+    InstrId
+    holder(InstrId i) const
     {
-        return arena_.data() + dataOff(i);
+        return (flags_[i] & kShared) != 0 ? numInstrs_ : i;
     }
-    /** The contiguous T-long block of cluster @p c in row @p i. */
-    double *
-    block(InstrId i, int c)
-    {
-        return rowData(i) + static_cast<size_t>(c) * numTimes_;
-    }
-    const double *
-    block(InstrId i, int c) const
-    {
-        return rowData(i) + static_cast<size_t>(c) * numTimes_;
-    }
-    double *spaceSums(InstrId i) const;
-    double *timeSums(InstrId i) const;
+    const Extent &extent(InstrId i) const { return rows_[holder(i)]; }
 
-    size_t
-    dataOff(InstrId i) const
+    double *
+    rowData(InstrId k) const
     {
-        return static_cast<size_t>(i) * rowStride_;
+        return arena_.data() + rows_[k].off;
     }
+    /** The window-long block of cluster @p c (c == C: time sums). */
+    double *
+    block(InstrId k, int c) const
+    {
+        return rowData(k) +
+               static_cast<size_t>(c) * (rows_[k].hi - rows_[k].lo);
+    }
+    double *timeSums(InstrId k) const { return block(k, numClusters_); }
+    double *
+    spaceSums(InstrId k) const
+    {
+        return spaceCache_.data() + static_cast<size_t>(k) * numClusters_;
+    }
+    /** W[i][t][c], +0.0 outside the row's window (no range checks). */
+    double value(InstrId i, int t, int c) const;
+
+    /** Give row @p i its own extent if it still shares row N. */
+    void own(InstrId i);
+    /**
+     * Re-store row @p i over window [lo, hi), which contains or is
+     * contained in its current window: the overlap keeps its values,
+     * new slots are +0.0.  Moves rows (so no arena pointer survives
+     * it) and may compact the arena.
+     */
+    void reshape(InstrId i, int lo, int hi);
+    void compactIfSparse();
 
     /** A mutation touched row @p i: caches stale, row not normalized. */
     void markMutated(InstrId i);
 
-    void refreshSpace(InstrId i) const;
-    void refreshTime(InstrId i) const;
+    void refreshSpace(InstrId k) const;
+    void refreshTime(InstrId k) const;
+
+    // Kernels on a stored row (an owned row, or row N on behalf of
+    // every row sharing it).
+    void zeroStoredCluster(InstrId k, int c);
+    void normalizeStored(InstrId k);
 
     // The batched kernels behind RowView (documented there).
     void rowSet(InstrId i, int t, int c, double value);
@@ -198,32 +250,29 @@ class PreferenceMatrix
     int numInstrs_;
     int numTimes_;
     int numClusters_;
-    size_t rowStride_; ///< C * T doubles per row
 
     /**
-     * The weight arena: one flat N*C*T allocation, cluster-blocked
-     * per row.  The marginal caches share a second flat allocation
-     * (mutable, so const readers can refresh lazily): N*C space sums
-     * followed by N*T time sums.  Offsets (not pointers) keep the
-     * class default-copyable, which the scheduler's
-     * snapshot/rollback protocol relies on.
+     * The weight arena: the shared initial row, then every owned
+     * row's extent.  Mutable because const readers refresh the time
+     * sums stored beside each row.  Offsets (not pointers) keep the
+     * class default-copyable, which the scheduler's snapshot/rollback
+     * protocol relies on.
      */
-    std::vector<double> arena_;
-    mutable std::vector<double> cache_;
-    size_t timeOff_; ///< offset of the time sums inside cache_
+    mutable std::vector<double> arena_;
+    size_t dead_ = 0; ///< arena doubles no row uses any more
 
-    /** Feasible half-open time windows; slots outside are +0.0. */
-    std::vector<int> winLo_;
-    std::vector<int> winHi_;
-
-    // Cache validity, per row and per side (1 = valid), plus the
-    // normalize clean flag: set by normalize(), cleared by every
-    // mutation, and normalize() returns immediately when it is still
-    // set -- the cached row sum is exactly the post-normalize sum, no
-    // epsilon test needed.
-    mutable std::vector<uint8_t> spaceValid_;
-    mutable std::vector<uint8_t> timeValid_;
-    std::vector<uint8_t> clean_;
+    /** N + 1 extents: one per instruction, then the shared row. */
+    std::vector<Extent> rows_;
+    /** Space sums, C per row (N + 1 rows). */
+    mutable std::vector<double> spaceCache_;
+    /**
+     * State bits per row (N + 1).  kClean is set by normalize(),
+     * cleared by every mutation, and normalize() returns immediately
+     * while it is set -- the cached row sum is exactly the
+     * post-normalize sum, no epsilon test needed.
+     */
+    mutable std::vector<uint8_t> flags_;
+    int numShared_; ///< instructions still referencing row N
 };
 
 /**
@@ -238,20 +287,19 @@ class PreferenceMatrix::ConstRowView
     int numClusters() const { return m_->numClusters_; }
 
     /** Feasible window: slots outside [windowLo, windowHi) are 0. */
-    int windowLo() const { return m_->winLo_[i_]; }
-    int windowHi() const { return m_->winHi_[i_]; }
+    int windowLo() const { return m_->extent(i_).lo; }
+    int windowHi() const { return m_->extent(i_).hi; }
 
-    double
-    at(int t, int c) const
-    {
-        return m_->block(i_, c)[t];
-    }
+    double at(int t, int c) const { return m_->value(i_, t, c); }
 
-    /** Cluster @p c's weights over the feasible window, contiguous. */
+    /**
+     * Cluster @p c's weights over the feasible window, contiguous;
+     * valid until the next mutation of the matrix.
+     */
     std::span<const double>
     windowSpan(int c) const
     {
-        return {m_->block(i_, c) + windowLo(),
+        return {m_->block(m_->holder(i_), c),
                 static_cast<size_t>(windowHi() - windowLo())};
     }
 
@@ -281,14 +329,10 @@ class PreferenceMatrix::RowView
   public:
     int numTimes() const { return m_->numTimes_; }
     int numClusters() const { return m_->numClusters_; }
-    int windowLo() const { return m_->winLo_[i_]; }
-    int windowHi() const { return m_->winHi_[i_]; }
+    int windowLo() const { return m_->extent(i_).lo; }
+    int windowHi() const { return m_->extent(i_).hi; }
 
-    double
-    at(int t, int c) const
-    {
-        return m_->block(i_, c)[t];
-    }
+    double at(int t, int c) const { return m_->value(i_, t, c); }
 
     /** A RowView also reads: converts to the read-only cursor. */
     operator ConstRowView() const { return ConstRowView(m_, i_); }

@@ -125,6 +125,15 @@ compareBenchReports(const BenchReport &baseline,
                     const BenchReport &current,
                     const BenchCompareOptions &options, std::ostream &out)
 {
+    // Timings of unlike builds differ by the build, not the code.
+    if (baseline.meta.buildType != current.meta.buildType ||
+        baseline.meta.flags != current.meta.flags) {
+        out << "refusing to compare unlike builds: baseline "
+            << baseline.meta.buildType << " '" << baseline.meta.flags
+            << "', current " << current.meta.buildType << " '"
+            << current.meta.flags << "'\n";
+        return false;
+    }
     std::map<std::string, const BenchCell *> base_by_key;
     for (const auto &cell : baseline.cells)
         base_by_key[cell.key()] = &cell;

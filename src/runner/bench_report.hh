@@ -149,7 +149,9 @@ struct BenchCompareOptions
  * Compare @p current against @p baseline cell-by-cell and print a
  * per-kernel delta table to @p out.  Cells present on only one side
  * are reported but never fail the gate (the suite may grow).  Returns
- * true when no joined cell regressed beyond the threshold.
+ * true when no joined cell regressed beyond the threshold.  Reports
+ * of different build types or compiler flags are not compared: the
+ * call prints a one-line reason and returns false.
  */
 bool compareBenchReports(const BenchReport &baseline,
                          const BenchReport &current,

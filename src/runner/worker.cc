@@ -512,9 +512,11 @@ WorkerPool::acquire()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        // Least recently released first, so every pre-forked worker
+        // takes jobs in turn.
         if (!idle_.empty()) {
-            auto worker = std::move(idle_.back());
-            idle_.pop_back();
+            auto worker = std::move(idle_.front());
+            idle_.pop_front();
             return worker;
         }
     }

@@ -43,6 +43,7 @@
 #ifndef CSCHED_RUNNER_WORKER_HH
 #define CSCHED_RUNNER_WORKER_HH
 
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -89,8 +90,9 @@ class WorkerPool
     int size() const { return size_; }
 
     /**
-     * Take an idle worker (forking a replacement if none is idle);
-     * nullptr only when forking fails.  Internal to runJobIsolated.
+     * Take the least recently released idle worker (forking a
+     * replacement if none is idle); nullptr only when forking fails.
+     * Internal to runJobIsolated.
      */
     std::unique_ptr<Worker> acquire();
 
@@ -102,7 +104,7 @@ class WorkerPool
     const int cpuLimitSec_;
     int size_ = 0;
     std::mutex mutex_;
-    std::vector<std::unique_ptr<Worker>> idle_;
+    std::deque<std::unique_ptr<Worker>> idle_;
 };
 
 /**

@@ -181,6 +181,27 @@ TEST(BenchCompare, FallsBackToMedianWithoutMin)
     EXPECT_TRUE(compareTimes(1.0, -1.0, 1.05, -1.0));
 }
 
+TEST(BenchCompare, RefusesUnlikeBuilds)
+{
+    // Identical timings, but one side is a different build: the gate
+    // refuses with a reason instead of judging the code.
+    for (const bool flags_differ : {false, true}) {
+        const BenchReport baseline = sampleReport();
+        BenchReport current = sampleReport();
+        if (flags_differ)
+            current.meta.flags = "-O2 -g";
+        else
+            current.meta.buildType = "RelWithDebInfo";
+        std::ostringstream out;
+        EXPECT_FALSE(compareBenchReports(baseline, current,
+                                         BenchCompareOptions{}, out));
+        EXPECT_NE(out.str().find("refusing to compare unlike builds"),
+                  std::string::npos)
+            << out.str();
+        EXPECT_EQ(out.str().find("REGRESSED"), std::string::npos);
+    }
+}
+
 TEST(BenchCompare, OneSidedCellsNeverFailTheGate)
 {
     BenchReport baseline = sampleReport();

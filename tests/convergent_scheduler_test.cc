@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "convergent/convergent_scheduler.hh"
+#include "convergent/pass_registry.hh"
 #include "convergent/preference_matrix.hh"
 #include "convergent/sequences.hh"
 #include "ir/graph_algorithms.hh"
@@ -18,6 +19,7 @@
 #include "machine/single_cluster.hh"
 #include "sched/schedule_checker.hh"
 #include "support/fault_injection.hh"
+#include "support/rng.hh"
 #include "support/status.hh"
 #include "workloads/workloads.hh"
 
@@ -201,6 +203,57 @@ TEST(ConvergentScheduler, ThrowingPassIsSkippedAndRolledBack)
     // Rolled back means *no* preference movement is attributed to the
     // skipped pass.
     EXPECT_DOUBLE_EQ(result.trace[2].fractionChanged, 0.0);
+}
+
+TEST(ConvergentScheduler, RollbackAfterWideningRestoresTheNoPassResult)
+{
+    // PATHPROP blends rows into their neighbours, widening windows and
+    // moving rows in the matrix arena.  A fault after its body must
+    // roll the matrix back to exactly the state before the pass: the
+    // run then equals the same sequence without that PATHPROP.
+    const RawMachine raw(4, 4);
+    const auto graph = makeMxm(8, 16);
+    const PassParams params = rawPassParams();
+    const std::string prefix = "INITTIME,PLACEPROP,LOAD,PLACE,PATH";
+    const std::string suffix = "LEVEL,COMM,EMPHCP";
+
+    // The fixture is only meaningful if PATHPROP does widen rows here.
+    PreferenceMatrix weights(graph.numInstructions(),
+                             graph.criticalPathLength(), raw.numClusters());
+    Rng rng(params.noiseSeed);
+    PassContext ctx{graph, raw, weights, params, rng};
+    for (const auto &pass : parsePassSequence(prefix))
+        pass->run(ctx);
+    std::vector<int> width(graph.numInstructions());
+    const PreferenceMatrix &cw = weights;
+    for (InstrId i = 0; i < graph.numInstructions(); ++i)
+        width[i] = cw.row(i).windowHi() - cw.row(i).windowLo();
+    makePassByName("PATHPROP")->run(ctx);
+    int widened = 0;
+    for (InstrId i = 0; i < graph.numInstructions(); ++i)
+        widened += cw.row(i).windowHi() - cw.row(i).windowLo() > width[i];
+    ASSERT_GT(widened, 0);
+
+    const ConvergentScheduler without(raw, prefix + "," + suffix, params);
+    const auto expected = without.schedule(graph);
+
+    const ConvergentScheduler with(raw, prefix + ",PATHPROP," + suffix,
+                                   params);
+    std::string error;
+    const auto plan = FaultPlan::parse("pass.body=fail:nth=6", &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    FaultScope faults(&*plan, "rollback-test");
+    ScopedFaultScope fault_guard(&faults);
+    const auto result = with.schedule(graph);
+
+    ASSERT_EQ(result.trace.size(), 9u);
+    EXPECT_EQ(result.trace[5].pass, "PATHPROP");
+    EXPECT_TRUE(result.trace[5].skipped);
+    EXPECT_EQ(result.assignment, expected.assignment);
+    EXPECT_EQ(result.preferredTime, expected.preferredTime);
+    EXPECT_EQ(result.schedule.makespan(), expected.schedule.makespan());
+    for (InstrId i = 0; i < graph.numInstructions(); ++i)
+        EXPECT_EQ(result.schedule.cycleOf(i), expected.schedule.cycleOf(i));
 }
 
 TEST(ConvergentScheduler, SkippedPassLeavesNoTraceByDefault)

@@ -1,19 +1,20 @@
 /**
  * @file
- * Differential property test: the cluster-blocked engine
- * (PreferenceMatrix) must agree bit-for-bit with the pre-rewrite
+ * Differential property test: the window-compact, cluster-blocked
+ * engine (PreferenceMatrix) must agree bit-for-bit with the dense
  * time-major engine (DenseReferenceMatrix) on every operation
  * sequence.  "Bit-for-bit" is literal: weights are compared by their
  * IEEE-754 payloads, so even a +0.0/-0.0 disagreement or a reordered
  * summation (which changes rounding) fails the test.
  *
  * Seeded random scripts draw from the full mutation surface --
- * including the window restriction and noise ops whose blocked
- * implementations skip work the dense engine performs explicitly, and
- * repeated normalize() calls that exercise the shared clean-skip
- * predicate -- and cross-check all derived observables (marginals,
- * preferred slots, runner-up, confidence, expected time) after every
- * step.
+ * including the window restriction and noise ops whose compact
+ * implementations skip work the dense engine performs explicitly,
+ * widenings that move rows, whole-matrix ops on rows that still share
+ * the initial row, snapshot/rollback copies, and repeated normalize()
+ * calls that exercise the shared clean-skip predicate -- and
+ * cross-check all derived observables (marginals, preferred slots,
+ * runner-up, confidence, expected time) after every step.
  */
 
 #include <gtest/gtest.h>
@@ -140,30 +141,106 @@ TEST(MatrixDifferential, NoiseDrawsStayInLockstep)
     expectIdentical(blocked, dense);
 }
 
-/**
- * The main event: seeded random scripts over the full op surface,
- * cross-checked after every step.
- */
-TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
+TEST(MatrixDifferential, RestrictingASharedRowLeavesTheOthersShared)
 {
-    Rng script(4242);
-    for (int round = 0; round < 12; ++round) {
+    // A never-touched row references the shared initial row; narrowing
+    // it stores only the window and must not disturb its neighbours.
+    PreferenceMatrix blocked(3, 12, 5);
+    DenseReferenceMatrix dense(3, 12, 5);
+    blocked.row(1).restrictTimeWindow(4, 7);
+    dense.restrictTimeWindow(1, 4, 7);
+    expectIdentical(blocked, dense);
+    blocked.row(1).normalize();
+    dense.normalize(1);
+    blocked.row(2).scaleCluster(3, 2.5);
+    dense.scaleCluster(2, 3, 2.5);
+    expectIdentical(blocked, dense);
+}
+
+TEST(MatrixDifferential, WideningPastAMaterialisedWindow)
+{
+    PreferenceMatrix blocked(3, 12, 3);
+    DenseReferenceMatrix dense(3, 12, 3);
+    // By set: a slot beyond the stored window moves the row.
+    blocked.row(0).restrictTimeWindow(3, 5);
+    dense.restrictTimeWindow(0, 3, 5);
+    blocked.row(0).normalize();
+    dense.normalize(0);
+    blocked.row(0).set(9, 1, 0.25);
+    dense.set(0, 9, 1, 0.25);
+    blocked.row(0).normalize();
+    dense.normalize(0);
+    expectIdentical(blocked, dense);
+    // By blendFrom: a narrow row blended from a wider one, then from
+    // a shared (full-window) row.
+    blocked.row(1).restrictTimeWindow(6, 7);
+    dense.restrictTimeWindow(1, 6, 7);
+    blocked.row(1).normalize();
+    dense.normalize(1);
+    const PreferenceMatrix &cb = blocked;
+    blocked.row(1).blendFrom(cb.row(0), 0.5);
+    dense.blend(1, 0, 0.5);
+    blocked.row(1).normalize();
+    dense.normalize(1);
+    expectIdentical(blocked, dense);
+    blocked.row(1).blendFrom(cb.row(2), 0.75);
+    dense.blend(1, 2, 0.75);
+    blocked.row(1).normalize();
+    dense.normalize(1);
+    expectIdentical(blocked, dense);
+}
+
+TEST(MatrixDifferential, EmptyWindowResetsToUniform)
+{
+    PreferenceMatrix blocked(2, 8, 4);
+    DenseReferenceMatrix dense(2, 8, 4);
+    // Row 0 is materialised first; row 1 goes empty while shared.
+    blocked.row(0).restrictTimeWindow(2, 6);
+    dense.restrictTimeWindow(0, 2, 6);
+    for (InstrId i = 0; i < 2; ++i) {
+        blocked.row(i).restrictTimeWindow(5, 5);
+        dense.restrictTimeWindow(i, 5, 5);
+        expectIdentical(blocked, dense);
+        blocked.row(i).normalize();
+        dense.normalize(i);
+        blocked.row(i).scaleCluster(2, 3.0);
+        dense.scaleCluster(i, 2, 3.0);
+        blocked.row(i).normalize();
+        dense.normalize(i);
+    }
+    expectIdentical(blocked, dense);
+}
+
+/**
+ * Seeded random scripts over the full op surface, cross-checked after
+ * every step: the per-row kernels, the whole-matrix operations that
+ * act once on the shared initial row, and a snapshot/rollback pair
+ * (copy-assign in both directions, as the scheduler does per pass).
+ */
+void
+runRandomScripts(uint64_t seed, int rounds, int max_times,
+                 int max_clusters)
+{
+    Rng script(seed);
+    for (int round = 0; round < rounds; ++round) {
         const int n = 1 + script.range(5);
-        const int times = 1 + script.range(10);
-        const int clusters = 1 + script.range(4);
+        const int times = 1 + script.range(max_times);
+        const int clusters = 1 + script.range(max_clusters);
         PreferenceMatrix blocked(n, times, clusters);
         DenseReferenceMatrix dense(n, times, clusters);
+        PreferenceMatrix blocked_snapshot = blocked;
+        DenseReferenceMatrix dense_snapshot = dense;
         // Noise draws must come from engine-private streams with the
         // same seed so a skipped draw in one engine is a bug, not a
         // synchronisation artefact.
-        const uint64_t noise_seed = 1000 + round;
+        const uint64_t noise_seed = seed + 1000 + round;
         Rng noise_blocked(noise_seed);
         Rng noise_dense(noise_seed);
 
         for (int step = 0; step < 60; ++step) {
             const InstrId i = script.range(n);
             auto row = blocked.row(i);
-            switch (script.range(10)) {
+            switch (script.range(14)) {
               case 0: {
                 const int t = script.range(times);
                 const int c = script.range(clusters);
@@ -238,17 +315,55 @@ TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
                 row.normalize();
                 dense.normalize(i);
                 break;
+              case 10: {
+                const int c = script.range(clusters);
+                blocked.zeroClusterAll(c);
+                for (InstrId k = 0; k < n; ++k)
+                    for (int t = 0; t < times; ++t)
+                        dense.set(k, t, c, 0.0);
+                break;
+              }
+              case 11:
+                blocked.normalizeAll();
+                dense.normalizeAll();
+                break;
+              case 12:
+                blocked_snapshot = blocked;
+                dense_snapshot = dense;
+                break;
+              case 13:
+                blocked = blocked_snapshot;
+                dense = dense_snapshot;
+                ASSERT_NO_FATAL_FAILURE(expectIdentical(blocked, dense))
+                    << "round " << round << " step " << step
+                    << " rollback";
+                break;
             }
             row.normalize();
             dense.normalize(i);
             ASSERT_NO_FATAL_FAILURE(expectRowIdentical(blocked, dense, i))
                 << "round " << round << " step " << step;
         }
+        ASSERT_NO_FATAL_FAILURE(
+            expectIdentical(blocked_snapshot, dense_snapshot))
+            << "round " << round << " snapshot";
         blocked.normalizeAll();
         dense.normalizeAll();
         ASSERT_NO_FATAL_FAILURE(expectIdentical(blocked, dense))
             << "round " << round << " final state";
     }
+}
+
+TEST(MatrixDifferential, RandomScriptsAreBitIdentical)
+{
+    runRandomScripts(4242, 12, 10, 4);
+}
+
+TEST(MatrixDifferential, RandomScriptsOnWideRowsAreBitIdentical)
+{
+    // Rounds with T up to 40 and C up to 16, where windows are wide
+    // enough for rows to widen, move and compact repeatedly.
+    runRandomScripts(777, 16, 40, 16);
 }
 
 } // namespace

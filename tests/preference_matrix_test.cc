@@ -341,6 +341,59 @@ TEST(PreferenceMatrix, CopyIsIndependent)
     EXPECT_EQ(copy.at(0, 0, 0), 0.0);
 }
 
+TEST(PreferenceMatrix, StoresOnlyTheWindowsRowsHold)
+{
+    // An INITTIME-style pass: restrict every row to its window, squash
+    // a cluster, normalize.  The arena then holds each window's C
+    // blocks and its time sums, plus the shared initial row -- never
+    // the dense N x T x C matrix.
+    const int n = 200;
+    const int times = 40;
+    const int clusters = 16;
+    PreferenceMatrix w(n, times, clusters);
+    Rng rng(5);
+    size_t window_sum = 0;
+    for (InstrId i = 0; i < n; ++i) {
+        const int lo = rng.range(times);
+        const int hi = lo + 1 + rng.range(std::min(4, times - lo));
+        auto row = w.row(i);
+        row.restrictTimeWindow(lo, hi);
+        row.zeroCluster(rng.range(clusters));
+        row.normalize();
+        window_sum += row.windowHi() - row.windowLo();
+    }
+    const size_t slack = window_sum + static_cast<size_t>(times) *
+                                          (clusters + 1);
+    EXPECT_LE(w.storedDoubles(), window_sum * clusters + slack);
+    EXPECT_LT(w.storedDoubles(),
+              static_cast<size_t>(n) * times * clusters / 4);
+    // A copy (the scheduler's rollback snapshot) is as small.
+    const PreferenceMatrix copy = w;
+    EXPECT_EQ(copy.storedDoubles(), w.storedDoubles());
+}
+
+TEST(PreferenceMatrix, WholeMatrixOpsActOnceForSharedRows)
+{
+    // zeroClusterAll + normalizeAll on an untouched matrix mask the
+    // shared initial row: every row reads the masked values and stays
+    // clean, and nothing is materialised.
+    PreferenceMatrix w(50, 6, 4);
+    const size_t before = w.storedDoubles();
+    w.zeroClusterAll(1);
+    w.normalizeAll();
+    EXPECT_EQ(w.storedDoubles(), before);
+    for (InstrId i = 0; i < 50; ++i) {
+        EXPECT_EQ(w.spaceMarginal(i, 1), 0.0);
+        EXPECT_NEAR(rowSum(w, i), 1.0, 1e-12);
+    }
+    // A row mutated afterwards leaves the others untouched.
+    w.row(3).scaleCluster(2, 5.0);
+    w.row(3).normalize();
+    EXPECT_EQ(w.preferredCluster(3), 2);
+    EXPECT_EQ(w.at(4, 0, 2), w.at(5, 0, 2));
+    EXPECT_NEAR(w.at(4, 0, 2), 1.0 / 18.0, 1e-12);
+}
+
 /**
  * Property test: any sequence of the Section-3 operations followed by
  * normalization maintains the invariants.
